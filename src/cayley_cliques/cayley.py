@@ -14,11 +14,12 @@ adjacency rows of small induced subgraphs only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import CapExceeded, Element, FieldTable
+from .ff import CapExceeded, Element, FieldTable, InvariantError
 
 
 class DegenerateModulus(ValueError):
@@ -215,7 +216,12 @@ class CayleyGraph:
             clique = self._extend_exact(base, exact_budget)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        assert not self.common_neighbors(clique)
+        leftover = self.common_neighbors(clique)
+        if leftover:
+            raise InvariantError(
+                f"{strategy} extension of {base} stopped at a non-maximal clique: "
+                f"{len(leftover)} common neighbors remain"
+            )
         return CliqueReport(tuple(clique), True, (), strategy)
 
     def _extend_greedy(self, base: list[Element]) -> list[Element]:
@@ -267,22 +273,33 @@ class CayleyGraph:
     def subfield_is_clique(self, r: int) -> bool:
         """Is the subfield F_{p^r} a clique?
 
-        Scans membership of the nonzero subfield elements (differences of
-        subfield elements are again subfield elements).  For the Paley kind
-        the answer must match d | (q-1)/(p^r-1); disagreement would mean the
-        tables are corrupt, so it is asserted.
+        Closed form, O(d): the units of F_{p^r} are g^(k * step) with
+        step = (q-1)/(p^r-1), and d divides step * (p^r-1), so their classes
+        mod d are exactly the multiples of h = gcd(step, d).  Differences of
+        subfield elements are subfield elements, so F_{p^r} is a clique iff
+        every multiple of h lies in J.  No field element is built.
+
+        Two cross-checks guard the tables: for the Paley kind the answer must
+        be d | step, and for a proper subfield (r < e) the log classes of its
+        p^r - 1 <= sqrt(q) units must agree.  Disagreement raises
+        InvariantError.
         """
-        elems = np.array(self.table.subfield_elements(r), dtype=np.int64)
-        nonzero = elems[elems != 0]
-        by_scan = bool(np.all(self._member_mask(nonzero)))
-        if self.kind.name == "paley":
-            by_divisibility = (self.table.qm1 // (self.table.p**r - 1)) % self.d == 0
-            if by_scan != by_divisibility:
-                raise RuntimeError(
-                    f"membership scan ({by_scan}) contradicts divisibility "
-                    f"({by_divisibility}) for F_{{{self.table.p}^{r}}}"
+        step = self.table.subfield_step(r)
+        closed = bool(self._j_lut[:: math.gcd(step, self.d)].all())
+        divides = step % self.d == 0
+        if self.kind.name == "paley" and closed != divides:
+            raise InvariantError(
+                f"closed form ({closed}) contradicts divisibility "
+                f"({divides}) for F_{{{self.table.p}^{r}}}"
+            )
+        if r < self.table.e:
+            by_scan = bool(self._member_mask(self.table.exp[::step]).all())
+            if by_scan != closed:
+                raise InvariantError(
+                    f"membership scan ({by_scan}) contradicts the closed form "
+                    f"({closed}) for F_{{{self.table.p}^{r}}}: corrupt tables"
                 )
-        return by_scan
+        return closed
 
     def is_maximal_subfield_clique(self, r: int) -> bool:
         """Clique F_{p^r} contained in no strictly larger subfield clique."""

@@ -235,7 +235,7 @@ def restrict_character(chi: Character, r: int, m: int) -> tuple[RestrictedCharac
     rm = r * m
     if r < 1 or m < 1 or table.e % rm != 0:
         raise NotASubfield(f"F_{{p^{rm}}} is not a subfield of GF({table.p}^{table.e})")
-    c = (table.qm1 // (table.p**rm - 1)) % chi.d
+    c = table.subfield_step(rm) % chi.d
     restricted = RestrictedCharacter(chi, rm, c)
     return restricted, restricted.is_trivial
 

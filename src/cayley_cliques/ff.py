@@ -33,6 +33,10 @@ class NotADivisor(ValueError):
     """Subfield degree that does not divide the extension degree."""
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant failed: the tables or the code are broken."""
+
+
 def factorize(m: int) -> list[int]:
     """Prime factorization of m with multiplicity, ascending.
 
@@ -325,7 +329,14 @@ class FieldTable:
     # ------------------------------------------------------- vectorized ops
 
     def add_many(self, codes: np.ndarray, c: Element) -> np.ndarray:
-        """Codes of x + c for every x in codes."""
+        """Codes of x + c for every x in codes.
+
+        For c = 0 the result is a read-only view of codes: no digit pass.
+        """
+        if c == 0:
+            same = codes.view()
+            same.setflags(write=False)
+            return same
         if self.e == 1:
             return (codes + c) % self.p
         rows = (self._digits[codes] + self._digits[c]) % self.p
@@ -337,17 +348,23 @@ class FieldTable:
 
     # ------------------------------------------------------------ subfields
 
+    def subfield_step(self, r: int) -> int:
+        """(q-1)/(p^r-1), the log of a generator of F_{p^r}*; requires r | e."""
+        if r < 1 or self.e % r != 0:
+            raise NotADivisor(f"r={r} does not divide e={self.e}")
+        return self.qm1 // (self.p**r - 1)
+
     def subfield_elements(self, r: int) -> tuple[Element, ...]:
         """The subfield F_{p^r} as a sorted tuple of codes; requires r | e.
 
-        Nonzero subfield elements are exactly the powers g^(k * (q-1)/(p^r-1)).
+        Nonzero subfield elements are exactly the powers g^(k * subfield_step(r)).
         """
-        if r < 1 or self.e % r != 0:
-            raise NotADivisor(f"r={r} does not divide e={self.e}")
-        size = self.p**r
-        step = self.qm1 // (size - 1)
-        codes = self.exp[::step]
-        assert len(codes) == size - 1
+        codes = self.exp[:: self.subfield_step(r)]
+        if len(codes) != self.p**r - 1:
+            raise InvariantError(
+                f"exp table of length {len(self.exp)} yields {len(codes)} units "
+                f"of F_{{{self.p}^{r}}}, not {self.p**r - 1}"
+            )
         return tuple(sorted([0] + [int(c) for c in codes]))
 
     def degree_over_base(self, theta: Element, r: int) -> int:

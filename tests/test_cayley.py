@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clique_corpus import corpus, exhaustive_max_clique, induced_bitmasks
 from cayley_cliques import (
     CapExceeded,
+    CayleyGraph,
     DegenerateModulus,
     EmptyJ,
     ExactBudgetExceeded,
     GraphKind,
+    InvariantError,
     NotAClique,
     SelfLoopQuery,
     build_field,
@@ -200,6 +206,69 @@ def test_maximal_subfield_clique_layers():
     assert graph.subfield_is_clique(1) and graph.subfield_is_clique(2)
     assert not graph.is_maximal_subfield_clique(1)
     assert graph.is_maximal_subfield_clique(2)
+
+
+def _fields_up_to(order: int):
+    for p in sympy.primerange(3, order + 1):
+        e = 1
+        while p**e <= order:
+            yield p, e
+            e += 1
+
+
+def _kinds_for(d: int, rng: random.Random) -> list[GraphKind]:
+    kinds = [GraphKind.paley(d)] if d >= 2 else []
+    if d >= 4 and d % 2 == 0:
+        kinds.append(GraphKind.peisert(d))
+    kinds.append(GraphKind.residue_class(d, rng.sample(range(d), rng.randint(1, d))))
+    # a J holding every multiple of a random divisor h of d, so that the
+    # residue kind sees subfield cliques too
+    h = rng.choice(sympy.divisors(d))
+    extra = rng.sample(range(d), rng.randint(0, d - 1))
+    kinds.append(GraphKind.residue_class(d, set(range(0, d, h)) | set(extra)))
+    return kinds
+
+
+def test_subfield_clique_matches_log_table_scan():
+    """Closed-form subfield test vs the log classes of exp[::step] = F_{p^r}*.
+
+    Every GF(p^E) of order <= 4096, every d | (q-1)/2, every r | E (r = E
+    included); Paley, Peisert and seeded random class sets J.
+    """
+    rng = random.Random(20221)
+    outcomes = {(name, verdict): 0 for name in ("paley", "peisert", "residue")
+                for verdict in (True, False)}
+    for p, e in _fields_up_to(4096):
+        table = build_field(p, e)
+        for d in sympy.divisors(table.qm1 // 2):
+            for kind in _kinds_for(d, rng):
+                graph = make_graph(table, kind)
+                for r in sympy.divisors(e):
+                    step = table.qm1 // (p**r - 1)
+                    classes = set((table.log[table.exp[::step]] % d).tolist())
+                    expected = classes <= kind.j
+                    assert graph.subfield_is_clique(r) == expected, (p, e, kind, r)
+                    outcomes[kind.name, expected] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_corrupt_tables_are_caught_by_the_subfield_cross_checks(gf81, monkeypatch):
+    graph = make_graph(gf81, GraphKind.peisert(4))
+    log = gf81.log.copy()
+    log[2] += 2  # F_3* = {1, 2}; class of 2 leaves J = {0, 1}
+    monkeypatch.setattr(gf81, "log", log)
+    with pytest.raises(InvariantError, match="corrupt tables"):
+        graph.subfield_is_clique(1)
+    paley = make_graph(gf81, GraphKind.paley(4))
+    monkeypatch.setattr(paley, "_j_lut", np.ones(4, dtype=bool))
+    with pytest.raises(InvariantError, match="divisibility"):
+        paley.subfield_is_clique(4)
+
+
+def test_extension_that_stops_short_is_an_invariant_error(gpstar81_4, monkeypatch):
+    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, budget: base)
+    with pytest.raises(InvariantError, match="non-maximal"):
+        gpstar81_4.extend_to_maximal_clique((0, 1, 2), "exact")
 
 
 # ---------------------------------------------------------------------------

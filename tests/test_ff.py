@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cayley_cliques.ff import (
     CapExceeded,
+    InvariantError,
     NotADivisor,
     build_field,
     factorize,
@@ -238,6 +239,18 @@ def test_vector_ops_match_scalar(data):
     assert [int(v) for v in table.sub_many(xs, c)] == [table.sub(int(x), c) for x in xs]
 
 
+@pytest.mark.parametrize("p,e", [(13, 1), (3, 4), (5, 4)])
+def test_adding_zero_matches_scalar_loop_and_keeps_input(p, e):
+    table = build_field(p, e)
+    codes = np.random.default_rng(p * e).permutation(table.q)
+    before = codes.copy()
+    for many, scalar in ((table.add_many, table.add), (table.sub_many, table.sub)):
+        out = many(codes, 0)
+        assert out.tolist() == [scalar(int(x), 0) for x in codes]
+        assert not out.flags.writeable
+        np.testing.assert_array_equal(codes, before)
+
+
 # ---------------------------------------------------------------------------
 # subfields and degrees
 
@@ -255,6 +268,12 @@ def test_subfield_closure(gf81):
             for b in sub:
                 assert gf81.add(a, b) in sub
                 assert gf81.mul(a, b) in sub
+
+
+def test_short_exp_table_is_an_invariant_error(gf81, monkeypatch):
+    monkeypatch.setattr(gf81, "exp", gf81.exp[:40])  # F_3* would need exp[0], exp[40]
+    with pytest.raises(InvariantError, match="units"):
+        gf81.subfield_elements(1)
 
 
 def test_frozen_subfield_codes(gf81):

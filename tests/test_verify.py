@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from cayley_cliques import (
+    CayleyGraph,
     GraphKind,
     NoQualifyingR,
     SweepConfig,
@@ -22,6 +23,7 @@ from cayley_cliques import (
     verify_case,
     verify_conjecture_case,
 )
+from cayley_cliques.cli import main
 from cayley_cliques.verify import THEOREM_REPORT_SCHEMA, report_lines, summary_csv
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,36 @@ def test_sweep_is_deterministic_and_worker_count_invariant():
     assert first == report_lines(sweep(config))
     parallel = SweepConfig(max_order=650, workers=2)
     assert first == report_lines(sweep(parallel))
+
+
+def _sweep_outputs(directory) -> tuple[str, str, bytes, bytes]:
+    """The criterion-4 Paley grid for n <= 5, then `sweep --kind peisert --max-order 729`."""
+    directory.mkdir()
+    reports = []
+    for n in (2, 3, 4, 5):
+        base_cap = (n - 1) ** 2
+        reports += sweep(SweepConfig(max_order=max(base_cap**n, 9), n_min=n, n_max=n,
+                                     max_base=base_cap, kinds=("paley",)))
+    out = directory / "peisert.jsonl"
+    assert main(["sweep", "--kind", "peisert", "--max-order", "729", "--out", str(out)]) == 0
+    return (report_lines(reports), summary_csv(reports),
+            out.read_bytes(), out.with_suffix(".csv").read_bytes())
+
+
+def test_sweeps_are_byte_identical_to_the_subfield_membership_scan(tmp_path, monkeypatch):
+    closed_form = _sweep_outputs(tmp_path / "closed")
+    scanned = []
+
+    def membership_scan(graph, r):
+        # Build F_{p^r} and test every unit's class directly.
+        table = graph.table
+        scanned.append(r)
+        return all(int(table.log[x]) % graph.d in graph.j
+                   for x in table.subfield_elements(r) if x != 0)
+
+    monkeypatch.setattr(CayleyGraph, "subfield_is_clique", membership_scan)
+    assert _sweep_outputs(tmp_path / "scan") == closed_form
+    assert scanned
 
 
 def test_peisert_sweep_finds_the_81_counterexample():
