@@ -4,8 +4,8 @@ Single-case commands emit one JSON object; sweeps emit JSON-lines plus a
 CSV summary next to --out.  Identical invocations produce identical bytes
 unless --timestamp is given (and even then the timestamp goes to stderr).
 
-Exit codes: 0 success, 1 a VIOLATION verdict or a failed bound, 2 invalid
-flags or configuration.
+Exit codes: 0 success, 1 a VIOLATION verdict, a failed bound or a broken
+invariant (InvariantError), 2 invalid flags or configuration.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .cayley import ExactBudgetExceeded, GraphKind, make_graph
 from .charsum import epsilon_star, half_circle_points, katz_bound_check, unit_root
-from .ff import DEFAULT_CAP, build_field
+from .ff import DEFAULT_CAP, InvariantError, build_field
 from .verify import (
     SweepConfig,
     conjecture_r,
@@ -36,28 +35,6 @@ from .verify import (
 ENV_CAP = "CAYLEY_CLIQUE_CAP"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    p: int | None = None
-    s: int | None = None
-    n: int | None = None
-    d: int | None = None
-    kind: str = "paley"
-    max_order: int | None = None
-    n_min: int = 2
-    n_max: int = 6
-    d_max: int | None = None
-    max_base: int | None = None
-    workers: int = 1
-    cap: int = DEFAULT_CAP
-    exact_budget: int = 2000
-    strategy: str = "exact"
-    format: str = "json"
-    out: Path | None = None
-    timestamp: bool = False
-
-
 def _resolve_cap(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -68,13 +45,6 @@ def _resolve_cap(flag_value: int | None) -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"{ENV_CAP} must be an integer, got {env!r}") from None
-
-
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    known = {f.name for f in dataclass_fields(CliConfig)}
-    picked = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    picked["cap"] = _resolve_cap(getattr(args, "cap", None))
-    return CliConfig(**picked)
 
 
 # --------------------------------------------------------------------------
@@ -100,81 +70,79 @@ def _write(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
-def _emit(doc: dict, cfg: CliConfig) -> None:
-    if cfg.format == "json":
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", cfg.out)
-    elif cfg.format == "text":
-        _write("\n".join(_text_lines(doc)) + "\n", cfg.out)
+def _emit(doc: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
+        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    elif args.format == "text":
+        _write("\n".join(_text_lines(doc)) + "\n", args.out)
     else:
         raise ValueError("--format csv is only available for the sweep command")
 
 
-def _stamp(cfg: CliConfig) -> None:
-    if cfg.timestamp:
+def _stamp(args: argparse.Namespace) -> None:
+    if args.timestamp:
         print(f"# generated {datetime.now(timezone.utc).isoformat()}", file=sys.stderr)
 
 
 # --------------------------------------------------------------------------
 # command handlers
 
-def _cmd_field(cfg: CliConfig) -> int:
-    table = build_field(cfg.p, cfg.s, cap=cfg.cap)
-    _emit(table.to_json(), cfg)
+def _cmd_field(args: argparse.Namespace) -> int:
+    table = build_field(args.p, args.s, cap=args.cap)
+    _emit(table.to_json(), args)
     return 0
 
 
-def _cmd_graph_info(cfg: CliConfig) -> int:
-    table = build_field(cfg.p, cfg.s * cfg.n, cap=cfg.cap)
-    graph = make_graph(table, GraphKind.from_name(cfg.kind, cfg.d))
-    _emit(graph.to_json(), cfg)
+def _cmd_graph_info(args: argparse.Namespace) -> int:
+    table = build_field(args.p, args.s * args.n, cap=args.cap)
+    graph = make_graph(table, GraphKind.from_name(args.kind, args.d))
+    _emit(graph.to_json(), args)
     return 0
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
-    case = make_case(cfg.p, cfg.s, cfg.n, cfg.d, cfg.kind)
-    report = verify_case(case, cap=cfg.cap, exact_budget=cfg.exact_budget)
-    _emit(report.to_json(), cfg)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    case = make_case(args.p, args.s, args.n, args.d, args.kind)
+    report = verify_case(case, cap=args.cap, exact_budget=args.exact_budget)
+    _emit(report.to_json(), args)
     return 1 if report.verdict == "VIOLATION" else 0
 
 
-def _cmd_conjecture(cfg: CliConfig) -> int:
-    q = cfg.p**cfg.s
-    r = conjecture_r(q, cfg.d)
+def _cmd_conjecture(args: argparse.Namespace) -> int:
+    q = args.p**args.s
+    r = conjecture_r(q, args.d)
     if r is None:
         # No qualifying subfield: reported, not fatal.
-        _emit({"q": q, "d": cfg.d, "r": None, "verdict": "no_qualifying_r"}, cfg)
+        _emit({"q": q, "d": args.d, "r": None, "verdict": "no_qualifying_r"}, args)
         return 0
-    report = verify_conjecture_case(q, cfg.d, cap=cfg.cap)
-    _emit({"q": q, "d": cfg.d, "r": r, "report": report.to_json()}, cfg)
+    report = verify_conjecture_case(q, args.d, cap=args.cap)
+    _emit({"q": q, "d": args.d, "r": r, "report": report.to_json()}, args)
     return 1 if report.verdict == "VIOLATION" else 0
 
 
-def _cmd_sweep(cfg: CliConfig) -> int:
-    if cfg.max_order is None:
-        raise ValueError("--max-order is required for sweep")
-    kinds = ("paley", "peisert") if cfg.kind == "both" else (cfg.kind,)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    kinds = ("paley", "peisert") if args.kind == "both" else (args.kind,)
     config = SweepConfig(
-        max_order=cfg.max_order,
-        n_min=cfg.n_min,
-        n_max=cfg.n_max,
-        d_max=cfg.d_max,
-        max_base=cfg.max_base,
+        max_order=args.max_order,
+        n_min=args.n_min,
+        n_max=args.n_max,
+        d_max=args.d_max,
+        max_base=args.max_base,
         kinds=kinds,
-        workers=cfg.workers,
-        cap=cfg.cap,
-        exact_budget=cfg.exact_budget,
+        workers=args.workers,
+        cap=args.cap,
+        exact_budget=args.exact_budget,
     )
     reports = sweep(config)
     violations = sum(1 for r in reports if r.verdict == "VIOLATION")
-    _stamp(cfg)
-    if cfg.out is not None:
-        cfg.out.write_text(report_lines(reports))
-        csv_path = cfg.out.with_suffix(".csv")
+    _stamp(args)
+    if args.out is not None:
+        args.out.write_text(report_lines(reports))
+        csv_path = args.out.with_suffix(".csv")
         csv_path.write_text(summary_csv(reports))
-        print(f"{len(reports)} reports -> {cfg.out} (summary {csv_path}), {violations} violations")
-    elif cfg.format == "csv":
+        print(f"{len(reports)} reports -> {args.out} (summary {csv_path}), {violations} violations")
+    elif args.format == "csv":
         sys.stdout.write(summary_csv(reports))
-    elif cfg.format == "text":
+    elif args.format == "text":
         for r in reports:
             c = r.case
             size = "" if r.extended_clique_size is None else f" extended={r.extended_clique_size}"
@@ -184,36 +152,36 @@ def _cmd_sweep(cfg: CliConfig) -> int:
     return 1 if violations else 0
 
 
-def _cmd_katz(cfg: CliConfig) -> int:
-    table = build_field(cfg.p, cfg.s * cfg.n, cap=cfg.cap)
-    report = katz_bound_check(table, cfg.s, cfg.d)
-    _emit(report.to_json(), cfg)
+def _cmd_katz(args: argparse.Namespace) -> int:
+    table = build_field(args.p, args.s * args.n, cap=args.cap)
+    report = katz_bound_check(table, args.s, args.d)
+    _emit(report.to_json(), args)
     return 0 if report.bound_satisfied else 1
 
 
-def _cmd_epsilon(cfg: CliConfig) -> int:
-    if cfg.d < 2 or cfg.d % 2 != 0:
-        raise ValueError(f"--d must be even and >= 2, got {cfg.d}")
-    j = list(range(cfg.d // 2))
-    result = epsilon_star([unit_root(cfg.d, k) for k in j])
+def _cmd_epsilon(args: argparse.Namespace) -> int:
+    if args.d < 2 or args.d % 2 != 0:
+        raise ValueError(f"--d must be even and >= 2, got {args.d}")
+    j = list(range(args.d // 2))
+    result = epsilon_star([unit_root(args.d, k) for k in j])
     doc = {
-        "d": cfg.d,
+        "d": args.d,
         "J": j,
         "epsilon_star": result.epsilon_star,
         "weights": list(result.weights),
-        "paper_bound": math.pi / cfg.d - math.pi / cfg.d**2,
-        "analytic": math.sin(math.pi / cfg.d),
+        "paper_bound": math.pi / args.d - math.pi / args.d**2,
+        "analytic": math.sin(math.pi / args.d),
     }
-    _emit(doc, cfg)
+    _emit(doc, args)
     return 0
 
 
-def _cmd_clique_extend(cfg: CliConfig) -> int:
-    table = build_field(cfg.p, cfg.s * cfg.n, cap=cfg.cap)
-    graph = make_graph(table, GraphKind.from_name(cfg.kind, cfg.d))
-    subfield = table.subfield_elements(cfg.s)
-    report = graph.extend_to_maximal_clique(subfield, cfg.strategy, cfg.exact_budget)
-    _emit(report.to_json(), cfg)
+def _cmd_clique_extend(args: argparse.Namespace) -> int:
+    table = build_field(args.p, args.s * args.n, cap=args.cap)
+    graph = make_graph(table, GraphKind.from_name(args.kind, args.d))
+    subfield = table.subfield_elements(args.s)
+    report = graph.extend_to_maximal_clique(subfield, args.strategy, args.exact_budget)
+    _emit(report.to_json(), args)
     return 0
 
 
@@ -311,8 +279,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        cfg = _config_from(args)
-        return _HANDLERS[cfg.command](cfg)
+        args.cap = _resolve_cap(args.cap)
+        return _HANDLERS[args.command](args)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ExactBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

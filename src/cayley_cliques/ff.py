@@ -4,7 +4,11 @@ An element of GF(p^e) is an integer code in [0, q), q = p^e, packing the
 coefficients of its polynomial representative as base-p digits, constant
 coefficient least significant.  A FieldTable carries exp/log tables for
 the full multiplicative group, so products, inverses and powers are O(1)
-lookups; addition works digitwise on codes.
+lookups.  Addition is a lookup too, in the log domain: with Zech logarithms
+Z[k] = log(1 + g^k), log(a + b) = log a + Z[log b - log a] (Huber, "Some
+comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990; the lookup
+mode of the galois library, https://github.com/mhostetter/galois, keeps
+the same three tables).  Prime and extension fields share every method.
 
 Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficient
@@ -16,6 +20,7 @@ therefore produce identical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import sympy
@@ -188,10 +193,8 @@ def _build_exp_prime(p: int, g: int) -> np.ndarray:
     return exp
 
 
-def _build_exp_extension(
-    p: int, e: int, q: int, modulus: tuple[int, ...], g: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (exp codes, digit table indexed by code) for GF(p^e), e >= 2.
+def _build_exp_extension(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
+    """Return the exp codes for GF(p^e), e >= 2.
 
     Same doubling scheme as the prime case, but blocks are digit matrices
     and the scaling is a polynomial multiplication followed by column-wise
@@ -202,6 +205,7 @@ def _build_exp_extension(
     g_digits = _decode(g, p, e)
     exp_digits = np.zeros((q - 1, e), dtype=np.int16)
     exp_digits[0, 0] = 1
+    chunk = 1 << 16  # rows per block pass; bounds the int32 transients
     m = 1
     while m < q - 1:
         take = min(m, q - 1 - m)
@@ -210,27 +214,26 @@ def _build_exp_extension(
             if m > 1
             else g_digits
         )
-        block = exp_digits[:take].astype(np.int32)
-        prod = np.zeros((take, 2 * e - 1), dtype=np.int32)
-        for t, bt in enumerate(b):
-            if bt:
-                prod[:, t : t + e] += bt * block
-        prod %= p
-        for col in range(2 * e - 2, e - 1, -1):
-            c = prod[:, col]
-            prod[:, col - e : col] = (prod[:, col - e : col] + c[:, None] * neg_mod[None, :]) % p
-        exp_digits[m : m + take] = prod[:, :e]
+        for lo in range(0, take, chunk):
+            hi = min(lo + chunk, take)
+            block = exp_digits[lo:hi].astype(np.int32)
+            prod = np.zeros((hi - lo, 2 * e - 1), dtype=np.int32)
+            for t, bt in enumerate(b):
+                if bt:
+                    prod[:, t : t + e] += bt * block
+            prod %= p
+            for col in range(2 * e - 2, e - 1, -1):
+                c = prod[:, col]
+                prod[:, col - e : col] = (prod[:, col - e : col] + c[:, None] * neg_mod[None, :]) % p
+            exp_digits[m + lo : m + hi] = prod[:, :e]
         m += take
 
     pow_p = p ** np.arange(e, dtype=np.int64)
     exp_codes = np.empty(q - 1, dtype=np.int64)
-    chunk = 1 << 20
     for lo in range(0, q - 1, chunk):
         hi = min(lo + chunk, q - 1)
         exp_codes[lo:hi] = exp_digits[lo:hi].astype(np.int64) @ pow_p
-    digit_table = np.zeros((q, e), dtype=np.int16)
-    digit_table[exp_codes] = exp_digits
-    return exp_codes, digit_table
+    return exp_codes
 
 
 @dataclass(frozen=True)
@@ -256,16 +259,12 @@ class FieldTable:
         exp[k] is the code of g^k.
     log : ndarray, shape (q,)
         Discrete log base g; log[0] = -1 is a sentinel, never a valid log.
+    zech : ndarray, shape (q-1,)
+        Zech logarithm: zech[k] = log(1 + g^k), so zech[(q-1)/2] = -1 marks
+        1 + g^k = 0.  Built on the first addition, not by build_field.
     """
 
-    def __init__(
-        self,
-        params: FieldParams,
-        g: int,
-        exp: np.ndarray,
-        log: np.ndarray,
-        digits: np.ndarray | None,
-    ):
+    def __init__(self, params: FieldParams, g: int, exp: np.ndarray, log: np.ndarray):
         self.params = params
         self.p = params.p
         self.e = params.e
@@ -274,9 +273,7 @@ class FieldTable:
         self.g = g
         self.exp = exp
         self.log = log
-        self._digits = digits
-        self._pow_p = params.p ** np.arange(params.e, dtype=np.int64)
-        for arr in (exp, log, self._pow_p) + ((digits,) if digits is not None else ()):
+        for arr in (exp, log):
             arr.setflags(write=False)
 
     def __repr__(self) -> str:
@@ -287,22 +284,26 @@ class FieldTable:
     def elements(self) -> range:
         return range(self.q)
 
-    def digits_of(self, a: Element) -> tuple[int, ...]:
-        if self.e == 1:
-            return (a,)
-        return tuple(int(x) for x in self._digits[a])
+    @cached_property
+    def zech(self) -> np.ndarray:
+        # 1 + x only bumps the constant digit of x's code, wrapping p - 1 to 0.
+        plus_one = self.exp + 1
+        plus_one[plus_one % self.p == 0] -= self.p
+        zech = self.log[plus_one]
+        zech.setflags(write=False)
+        return zech
 
     def add(self, a: Element, b: Element) -> Element:
-        if self.e == 1:
-            return (a + b) % self.p
-        row = (self._digits[a] + self._digits[b]) % self.p
-        return int(row.astype(np.int64) @ self._pow_p)
+        if a == 0 or b == 0:
+            return a + b
+        la = int(self.log[a])
+        z = int(self.zech[(int(self.log[b]) - la) % self.qm1])
+        return 0 if z < 0 else int(self.exp[(la + z) % self.qm1])
 
     def neg(self, a: Element) -> Element:
-        if self.e == 1:
-            return (-a) % self.p
-        row = (-self._digits[a]) % self.p
-        return int(row.astype(np.int64) @ self._pow_p)
+        if a == 0:
+            return 0
+        return int(self.exp[(int(self.log[a]) + self.qm1 // 2) % self.qm1])
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
@@ -331,16 +332,18 @@ class FieldTable:
     def add_many(self, codes: np.ndarray, c: Element) -> np.ndarray:
         """Codes of x + c for every x in codes.
 
-        For c = 0 the result is a read-only view of codes: no digit pass.
+        For c = 0 the result is a read-only view of codes: no table pass.
         """
         if c == 0:
             same = codes.view()
             same.setflags(write=False)
             return same
-        if self.e == 1:
-            return (codes + c) % self.p
-        rows = (self._digits[codes] + self._digits[c]) % self.p
-        return rows.astype(np.int64) @ self._pow_p
+        la = self.log[codes]
+        z = self.zech[(int(self.log[c]) - la) % self.qm1]
+        out = self.exp[(la + z) % self.qm1]
+        out[z < 0] = 0  # x = -c
+        out[codes == 0] = c
+        return out
 
     def sub_many(self, codes: np.ndarray, c: Element) -> np.ndarray:
         """Codes of x - c for every x in codes."""
@@ -419,17 +422,17 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     modulus = (0, 1) if e == 1 else _smallest_irreducible(p, e)
     g = _smallest_generator(p, e, q, modulus)
 
-    if e == 1:
-        exp = _build_exp_prime(p, g)
-        digits = None
-    else:
-        exp, digits = _build_exp_extension(p, e, q, modulus, g)
+    exp = _build_exp_prime(p, g) if e == 1 else _build_exp_extension(p, e, q, modulus, g)
 
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(q - 1, dtype=np.int64)
     # Coverage doubles as an order certificate: a non-generator would revisit
-    # codes and leave gaps.
-    assert int(exp[0]) == 1 and int(log[1]) == 0
-    assert int(np.count_nonzero(log == -1)) == 1
+    # codes and leave gaps.  Every Zech lookup reads log, so this also
+    # guards addition.
+    missing = int(np.count_nonzero(log == -1)) - 1
+    if int(exp[0]) != 1 or int(log[1]) != 0 or missing:
+        raise InvariantError(
+            f"g={g} does not generate GF({p}^{e})*: {missing} of {q - 1} units have no log"
+        )
 
-    return FieldTable(FieldParams(p, e, tuple(modulus)), g, exp, log, digits)
+    return FieldTable(FieldParams(p, e, tuple(modulus)), g, exp, log)

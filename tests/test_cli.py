@@ -7,7 +7,7 @@ import json
 import jsonschema
 import pytest
 
-from cayley_cliques.cayley import CLIQUE_REPORT_SCHEMA, GRAPH_SCHEMA
+from cayley_cliques.cayley import CLIQUE_REPORT_SCHEMA, GRAPH_SCHEMA, CayleyGraph
 from cayley_cliques.charsum import EPSILON_SCHEMA, KATZ_REPORT_SCHEMA
 from cayley_cliques.cli import main
 from cayley_cliques.ff import FIELD_SCHEMA
@@ -120,6 +120,16 @@ def test_clique_extend_budget_error(capsys):
                        "--d", "4", "--kind", "peisert", "--exact-budget", "3")
     assert code == 2
     assert "budget" in err.lower()
+
+
+def test_broken_invariant_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, budget: base)
+    code, out, err = run(capsys, "clique-extend", "--p", "3", "--s", "1", "--n", "4",
+                         "--d", "4", "--kind", "peisert")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_sweep_to_files(capsys, tmp_path):

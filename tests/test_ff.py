@@ -8,12 +8,17 @@ brute-force generator search.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley_cliques import ff
 from cayley_cliques.ff import (
     CapExceeded,
     InvariantError,
@@ -175,18 +180,48 @@ def test_exp_chain_matches_oracle(p, e):
     assert _code(acc, p) == 1
 
 
+def test_non_generator_is_an_invariant_error_under_optimize():
+    # The order certificate must survive `python -O`, which strips asserts.
+    src = Path(ff.__file__).parents[1]
+    script = (
+        "import sys\n"
+        "import cayley_cliques.ff as ff\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        "ff._smallest_generator = lambda p, e, q, modulus: 3  # order 3 in GF(13)*\n"
+        "try:\n"
+        "    ff.build_field(13, 1)\n"
+        "except ff.InvariantError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "9 of 12 units have no log" in done.stdout
+
+
 def test_exp_log_round_trip(gf81):
     for x in range(1, gf81.q):
         assert int(gf81.exp[int(gf81.log[x])]) == x
     assert int(gf81.log[0]) == -1
 
 
-def test_add_matches_digitwise_oracle(gf81):
-    p, e = gf81.p, gf81.e
-    for a in range(0, gf81.q, 7):
-        for b in range(0, gf81.q, 5):
-            expected = _code([(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
-            assert gf81.add(a, b) == expected
+@pytest.mark.parametrize("p,e", [(13, 1), (3, 2), (5, 2), (3, 4), (7, 3)])
+def test_add_matches_digitwise_oracle(p, e):
+    # Every pair, so both Zech sentinels (x = 0 and x = -c) are hit.
+    table = build_field(p, e)
+    digits = [_digits(x, p, e) for x in range(table.q)]
+    codes = np.arange(table.q)
+    for b in range(table.q):
+        sums = [_code([(x + y) % p for x, y in zip(digits[a], digits[b])], p) for a in codes]
+        diffs = [_code([(x - y) % p for x, y in zip(digits[a], digits[b])], p) for a in codes]
+        assert [table.add(int(a), b) for a in codes] == sums
+        assert table.add_many(codes, b).tolist() == sums
+        assert table.sub_many(codes, b).tolist() == diffs
 
 
 def test_frozen_small_products(gf13, gf9):
