@@ -242,12 +242,13 @@ class CayleyGraph:
         if not pool:
             return list(base)
         masks = self._induced_masks(np.array(pool, dtype=np.int64))
-        # Seed the search with the greedy extension restricted to the pool.
-        pool_index = {v: i for i, v in enumerate(pool)}
-        seed = 0
-        for v in self._extend_greedy(base):
-            if v in pool_index:
-                seed |= 1 << pool_index[v]
+        # Seed the search with the greedy extension: the pool is ascending, so
+        # the lowest candidate bit is the smallest common neighbor.
+        seed, cand = 0, (1 << len(pool)) - 1
+        while cand:
+            low = cand & -cand
+            seed |= low
+            cand &= masks[low.bit_length() - 1]
         best = maximum_clique(masks, seed=seed)
         chosen = [pool[i] for i in _bits(best)]
         return sorted(base + chosen)

@@ -179,61 +179,39 @@ def _smallest_generator(p: int, e: int, q: int, modulus: tuple[int, ...]) -> int
 # --------------------------------------------------------------------------
 # table construction
 
-def _build_exp_prime(p: int, g: int) -> np.ndarray:
-    # Doubling: once g^0..g^(m-1) are known, the next block is a single
-    # vectorized scaling by g^m.
-    exp = np.empty(p - 1, dtype=np.int64)
-    exp[0] = 1
-    m = 1
-    while m < p - 1:
-        take = min(m, p - 1 - m)
-        b = (int(exp[m - 1]) * g) % p
-        exp[m : m + take] = (exp[:take] * b) % p
-        m += take
-    return exp
+_CHUNK = 1 << 16  # rows per vectorized pass; bounds the transients
 
 
-def _build_exp_extension(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
-    """Return the exp codes for GF(p^e), e >= 2.
+def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
+    """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1.
 
-    Same doubling scheme as the prime case, but blocks are digit matrices
-    and the scaling is a polynomial multiplication followed by column-wise
-    reduction by the modulus.  p <= 2^12 whenever e >= 2 fits the cap, so
-    int32 intermediates cannot overflow.
+    Doubling: once g^0..g^(m-1) are known, the next block is the first one
+    scaled by b = g^m.  Scaling by b is F_p-linear, so it is the e x e matrix
+    whose row i holds the digits of b * x^i mod f (the regular
+    representation).  Each 2^16-row chunk is decoded to digits, multiplied
+    by that matrix mod p and encoded again.  Every intermediate is below
+    max(e * p^2, q), which fits int64 for any table that fits in memory.
     """
-    neg_mod = np.array([(-c) % p for c in modulus[:e]], dtype=np.int32)
-    g_digits = _decode(g, p, e)
-    exp_digits = np.zeros((q - 1, e), dtype=np.int16)
-    exp_digits[0, 0] = 1
-    chunk = 1 << 16  # rows per block pass; bounds the int32 transients
+    pow_p = p ** np.arange(e, dtype=np.int64)
+    shift = np.eye(e, k=1, dtype=np.int64)  # multiplication by x
+    shift[-1] = [(-c) % p for c in modulus[:e]]
+    b = np.array(_decode(g, p, e), dtype=np.int64)
+    exp = np.empty(q - 1, dtype=np.int64)
+    exp[0] = 1
     m = 1
     while m < q - 1:
         take = min(m, q - 1 - m)
-        b = (
-            _poly_mul_mod(list(map(int, exp_digits[m - 1])), g_digits, modulus, p)
-            if m > 1
-            else g_digits
-        )
-        for lo in range(0, take, chunk):
-            hi = min(lo + chunk, take)
-            block = exp_digits[lo:hi].astype(np.int32)
-            prod = np.zeros((hi - lo, 2 * e - 1), dtype=np.int32)
-            for t, bt in enumerate(b):
-                if bt:
-                    prod[:, t : t + e] += bt * block
-            prod %= p
-            for col in range(2 * e - 2, e - 1, -1):
-                c = prod[:, col]
-                prod[:, col - e : col] = (prod[:, col - e : col] + c[:, None] * neg_mod[None, :]) % p
-            exp_digits[m + lo : m + hi] = prod[:, :e]
+        rows = [b]
+        for _ in range(e - 1):
+            rows.append(rows[-1] @ shift % p)
+        scale = np.array(rows)
+        for lo in range(0, take, _CHUNK):
+            hi = min(lo + _CHUNK, take)
+            digits = exp[lo:hi, None] // pow_p % p
+            exp[m + lo : m + hi] = (digits @ scale % p) @ pow_p
         m += take
-
-    pow_p = p ** np.arange(e, dtype=np.int64)
-    exp_codes = np.empty(q - 1, dtype=np.int64)
-    for lo in range(0, q - 1, chunk):
-        hi = min(lo + chunk, q - 1)
-        exp_codes[lo:hi] = exp_digits[lo:hi].astype(np.int64) @ pow_p
-    return exp_codes
+        b = b @ scale % p  # b^2 = g^m for the new m
+    return exp
 
 
 @dataclass(frozen=True)
@@ -287,9 +265,11 @@ class FieldTable:
     @cached_property
     def zech(self) -> np.ndarray:
         # 1 + x only bumps the constant digit of x's code, wrapping p - 1 to 0.
-        plus_one = self.exp + 1
-        plus_one[plus_one % self.p == 0] -= self.p
-        zech = self.log[plus_one]
+        zech = np.empty(self.qm1, dtype=np.int64)
+        for lo in range(0, self.qm1, _CHUNK):
+            plus_one = self.exp[lo : lo + _CHUNK] + 1
+            plus_one[plus_one % self.p == 0] -= self.p
+            zech[lo : lo + _CHUNK] = self.log[plus_one]
         zech.setflags(write=False)
         return zech
 
@@ -422,7 +402,7 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     modulus = (0, 1) if e == 1 else _smallest_irreducible(p, e)
     g = _smallest_generator(p, e, q, modulus)
 
-    exp = _build_exp_prime(p, g) if e == 1 else _build_exp_extension(p, e, q, modulus, g)
+    exp = _build_exp(p, e, q, modulus, g)
 
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(q - 1, dtype=np.int64)

@@ -167,7 +167,7 @@ def test_mul_matches_oracle_sampled_large(gf625):
         assert gf625.mul(int(a), int(b)) == _oracle_mul_codes(gf625, int(a), int(b))
 
 
-@pytest.mark.parametrize("p,e", [(3, 2), (3, 4), (5, 2), (5, 4), (7, 3)])
+@pytest.mark.parametrize("p,e", [(13, 1), (65537, 1), (3, 2), (3, 4), (5, 2), (5, 4), (7, 3)])
 def test_exp_chain_matches_oracle(p, e):
     # exp[k+1] = g * exp[k] for every k certifies the whole log table
     table = build_field(p, e)
@@ -178,6 +178,26 @@ def test_exp_chain_matches_oracle(p, e):
         assert _code(acc, p) == int(table.exp[k])
         acc = oracle_mul(acc, g_digits, mod, p)
     assert _code(acc, p) == 1
+
+
+def test_exp_and_zech_across_block_and_chunk_boundaries():
+    # q - 1 > 2^17, so doubling blocks span several 2^16-row chunks.  Check
+    # exp[k+1] = g * exp[k] around every power of two and every multiple of
+    # 2^16, and the whole Zech table against digitwise 1 + x.
+    p, e = 3, 12
+    table = build_field(p, e)
+    qm1, mod = table.q - 1, table.params.modulus
+    g_digits = _digits(table.g, p, e)
+    edges = {1 << i for i in range(qm1.bit_length())} | set(range(1 << 16, qm1, 1 << 16))
+    for k in sorted({k for b in edges for k in (b - 2, b - 1, b) if 0 <= k < qm1}):
+        step = oracle_mul(_digits(int(table.exp[k]), p, e), g_digits, mod, p)
+        assert _code(step, p) == int(table.exp[(k + 1) % qm1]), k
+
+    digits = table.exp[:, None] // p ** np.arange(e) % p
+    digits[:, 0] = (digits[:, 0] + 1) % p
+    plus_one = digits @ p ** np.arange(e)
+    np.testing.assert_array_equal(table.zech, table.log[plus_one])
+    assert int(table.zech[qm1 // 2]) == -1
 
 
 def test_non_generator_is_an_invariant_error_under_optimize():
