@@ -280,19 +280,12 @@ class CayleyGraph:
         subfield elements are subfield elements, so F_{p^r} is a clique iff
         every multiple of h lies in J.  No field element is built.
 
-        Two cross-checks guard the tables: for the Paley kind the answer must
-        be d | step, and for a proper subfield (r < e) the log classes of its
-        p^r - 1 <= sqrt(q) units must agree.  Disagreement raises
-        InvariantError.
+        For a proper subfield (r < e) a cross-check guards the tables: the
+        log classes of its p^r - 1 <= sqrt(q) units must agree with the
+        closed form.  Disagreement raises InvariantError.
         """
         step = self.table.subfield_step(r)
         closed = bool(self._j_lut[:: math.gcd(step, self.d)].all())
-        divides = step % self.d == 0
-        if self.kind.name == "paley" and closed != divides:
-            raise InvariantError(
-                f"closed form ({closed}) contradicts divisibility "
-                f"({divides}) for F_{{{self.table.p}^{r}}}"
-            )
         if r < self.table.e:
             by_scan = bool(self._member_mask(self.table.exp[::step]).all())
             if by_scan != closed:

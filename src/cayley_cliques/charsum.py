@@ -36,10 +36,6 @@ class NoValidTheta(ValueError):
     """No element generates the required extension (r = E leaves none)."""
 
 
-class NotASubfield(ValueError):
-    """Requested restriction target is not a subfield of the domain."""
-
-
 class OddD(ValueError):
     """Odd d where the half-circle construction needs an even one."""
 
@@ -193,51 +189,6 @@ def katz_bound_check(table: FieldTable, r: int, d: int) -> KatzReport:
     if count == 0:
         raise NoValidTheta(f"no element generates degree {n} over F_{table.p}^{r}")
     return KatzReport(table.p, table.e, r, d, n, bound, max_ratio, worst_theta, count)
-
-
-@dataclass(frozen=True)
-class RestrictedCharacter:
-    """A character of GF(p^E) viewed on the subfield F_{p^(r m)}.
-
-    The subfield's units are generated by h = g^((p^E-1)/(p^(r m)-1)); the
-    restriction sends h^k to zeta_d^(k * generator_class).  It is trivial
-    exactly when d divides (p^E-1)/(p^(r m)-1).
-    """
-
-    parent: Character
-    subfield_degree: int  # over the prime field
-    generator_class: int  # class of h in Z_d
-
-    @property
-    def d(self) -> int:
-        return self.parent.d
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.generator_class == 0
-
-    @property
-    def order(self) -> int:
-        return self.d // math.gcd(self.d, self.generator_class)
-
-    def chi_class(self, y: Element) -> int:
-        """Class of a subfield element under the parent character."""
-        return self.parent.chi_class(y)
-
-    def class_from_subfield_log(self, k: int) -> int:
-        """Class of h^k expressed through the subfield's own root h."""
-        return (k * self.generator_class) % self.d
-
-
-def restrict_character(chi: Character, r: int, m: int) -> tuple[RestrictedCharacter, bool]:
-    """Restrict chi to the subfield F_{p^(r m)}; returns (chi', is_trivial)."""
-    table = chi.table
-    rm = r * m
-    if r < 1 or m < 1 or table.e % rm != 0:
-        raise NotASubfield(f"F_{{p^{rm}}} is not a subfield of GF({table.p}^{table.e})")
-    c = table.subfield_step(rm) % chi.d
-    restricted = RestrictedCharacter(chi, rm, c)
-    return restricted, restricted.is_trivial
 
 
 # --------------------------------------------------------------------------

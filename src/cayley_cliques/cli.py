@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Single-case commands emit one JSON object; sweeps emit JSON-lines plus a
-CSV summary next to --out.  Identical invocations produce identical bytes
-unless --timestamp is given (and even then the timestamp goes to stderr).
+CSV summary next to --out.  Identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 a VIOLATION verdict, a failed bound or a broken
 invariant (InvariantError), 2 invalid flags or configuration.
@@ -15,11 +14,10 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .cayley import ExactBudgetExceeded, GraphKind, make_graph
-from .charsum import epsilon_star, half_circle_points, katz_bound_check, unit_root
+from .charsum import epsilon_star, katz_bound_check, unit_root
 from .ff import DEFAULT_CAP, InvariantError, build_field
 from .verify import (
     SweepConfig,
@@ -79,11 +77,6 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
         raise ValueError("--format csv is only available for the sweep command")
 
 
-def _stamp(args: argparse.Namespace) -> None:
-    if args.timestamp:
-        print(f"# generated {datetime.now(timezone.utc).isoformat()}", file=sys.stderr)
-
-
 # --------------------------------------------------------------------------
 # command handlers
 
@@ -134,7 +127,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     reports = sweep(config)
     violations = sum(1 for r in reports if r.verdict == "VIOLATION")
-    _stamp(args)
     if args.out is not None:
         args.out.write_text(report_lines(reports))
         csv_path = args.out.with_suffix(".csv")
@@ -252,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("paley", "peisert", "both"), default="both")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--exact-budget", type=int, default=2000)
-    sp.add_argument("--timestamp", action="store_true", help="log a timestamp line to stderr")
     _add_output_flags(sp, formats=("json", "csv", "text"))
 
     sp = sub.add_parser("katz", help="character-sum bound over GF(p^(s*n)) with base degree s")

@@ -12,9 +12,10 @@ the same three tables).  Prime and extension fields share every method.
 
 Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficient
-vectors compared from the constant term upward) and the primitive root is
-the generator with the smallest code.  Two runs over the same (p, e)
-therefore produce identical tables.
+vectors compared from the constant term upward; irreducibility in GF(p)[x]
+is sympy's gf_irreducible_p) and the primitive root is the generator with
+the smallest code.  Two runs over the same (p, e) therefore produce
+identical tables.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from functools import cached_property
 
 import numpy as np
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 Element = int
 
@@ -91,73 +94,6 @@ def _poly_pow_mod(a: list[int], k: int, modulus: tuple[int, ...], p: int) -> lis
     return result
 
 
-def _trimmed(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_gcd(u: list[int], v: list[int], p: int) -> list[int]:
-    u = _trimmed(list(u))
-    v = _trimmed(list(v))
-    while v:
-        inv_lc = pow(v[-1], -1, p)
-        dv = len(v) - 1
-        r = list(u)
-        _trimmed(r)
-        while r and len(r) - 1 >= dv:
-            c = (r[-1] * inv_lc) % p
-            shift = len(r) - 1 - dv
-            for t in range(dv + 1):
-                r[shift + t] = (r[shift + t] - c * v[t]) % p
-            _trimmed(r)
-        u, v = v, r
-    return u
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: root screen, then Frobenius/gcd on x^(p^k) mod f."""
-    e = len(f) - 1
-    if e == 1:
-        return True
-    if f[0] == 0:
-        return False
-    for c in range(p):
-        acc = 0
-        for coeff in reversed(f):
-            acc = (acc * c + coeff) % p
-        if acc == 0:
-            return False
-    modulus = tuple(f)
-    x = [0, 1] + [0] * (e - 2)
-    checkpoints = {e // ell for ell in set(factorize(e))}
-    pw = list(x)
-    for i in range(1, e + 1):
-        pw = _poly_pow_mod(pw, p, modulus, p)
-        if i in checkpoints and i < e:
-            diff = [(pa - pb) % p for pa, pb in zip(pw, x)]
-            g = _poly_gcd(diff, list(f), p)
-            if len(g) != 1:
-                return False
-    return pw == x
-
-
-def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    # Lex order on (c_0, ..., c_{e-1}); candidates with c_0 = 0 have the
-    # root 0 and are skipped wholesale.
-    for k in range(p ** (e - 1), p**e):
-        rem = k
-        coeffs = []
-        for i in range(e - 1, -1, -1):
-            div = p**i
-            coeffs.append(rem // div)
-            rem %= div
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise RuntimeError(f"no irreducible polynomial of degree {e} over F_{p}")  # unreachable
-
-
 def _decode(code: int, p: int, e: int) -> list[int]:
     digits = []
     for _ in range(e):
@@ -166,10 +102,22 @@ def _decode(code: int, p: int, e: int) -> list[int]:
     return digits
 
 
+def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
+    # Lex order on (c_0, ..., c_{e-1}); candidates with c_0 = 0 have the
+    # root 0 and are skipped wholesale.  The base-p digits of k, lowest
+    # first, are c_{e-1}, ..., c_0: sympy's order, highest degree first.
+    for k in range(p ** (e - 1), p**e):
+        f = [1] + _decode(k, p, e)
+        if gf_irreducible_p(f, p, ZZ):
+            return tuple(reversed(f))
+    raise RuntimeError(f"no irreducible polynomial of degree {e} over F_{p}")  # unreachable
+
+
 def _smallest_generator(p: int, e: int, q: int, modulus: tuple[int, ...]) -> int:
     one = [1] + [0] * (e - 1)
     prime_factors = sorted(set(factorize(q - 1)))
-    for code in range(2, q):
+    # Codes below p are the constants F_p*, whose orders divide p - 1 < q - 1.
+    for code in range(2 if e == 1 else p, q):
         a = _decode(code, p, e)
         if all(_poly_pow_mod(a, (q - 1) // ell, modulus, p) != one for ell in prime_factors):
             return code
@@ -405,7 +353,8 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     exp = _build_exp(p, e, q, modulus, g)
 
     log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(q - 1, dtype=np.int64)
+    for lo in range(0, q - 1, _CHUNK):
+        log[exp[lo : lo + _CHUNK]] = np.arange(lo, min(lo + _CHUNK, q - 1))
     # Coverage doubles as an order certificate: a non-generator would revisit
     # codes and leave gaps.  Every Zech lookup reads log, so this also
     # guards addition.

@@ -14,7 +14,6 @@ from cayley_cliques import (
     Character,
     NoValidTheta,
     NotADivisor,
-    NotASubfield,
     OddD,
     RootOfUnitySum,
     TrivialCharacter,
@@ -25,7 +24,6 @@ from cayley_cliques import (
     half_circle_points,
     katz_bound_check,
     line_sum,
-    restrict_character,
     unit_root,
     verify_lemma_bound,
 )
@@ -145,42 +143,6 @@ def test_katz_errors(gf81):
         katz_bound_check(gf81, 3, 2)
     with pytest.raises(NoValidTheta):
         katz_bound_check(gf81, 4, 2)
-
-
-# ---------------------------------------------------------------------------
-# restriction to subfields
-
-def test_restriction_to_f9_is_nontrivial(gf81):
-    chi = Character(gf81, 4)
-    restricted, trivial = restrict_character(chi, 2, 1)
-    assert not trivial
-    assert restricted.generator_class == 2
-    assert restricted.order == 2
-
-
-def test_restriction_to_f3_is_trivial(gf81):
-    # (81-1)/(3-1) = 40 and 4 | 40: the clique question for F_3 cannot be
-    # settled by this character
-    chi = Character(gf81, 4)
-    restricted, trivial = restrict_character(chi, 1, 1)
-    assert trivial
-    assert restricted.generator_class == 0
-    assert restricted.order == 1
-
-
-def test_restriction_agrees_with_parent_on_subfield(gf81):
-    chi = Character(gf81, 8)
-    restricted, _ = restrict_character(chi, 2, 1)
-    h = gf81.pow(gf81.g, gf81.qm1 // (9 - 1))
-    y = 1
-    for k in range(8):
-        assert restricted.class_from_subfield_log(k) == chi.chi_class(y)
-        y = gf81.mul(y, h)
-
-
-def test_restriction_rejects_non_subfield(gf81):
-    with pytest.raises(NotASubfield):
-        restrict_character(Character(gf81, 4), 3, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,10 @@ def _oracle_mul_codes(table, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # modulus and generator selection
 
-@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (13, 2)])
+@pytest.mark.parametrize(
+    "p,e",
+    [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (13, 2), (3, 6), (3, 8), (3, 9), (7, 4)],
+)
 def test_modulus_is_first_irreducible_in_lex_order(p, e):
     assert build_field(p, e).params.modulus == _first_irreducible(p, e)
 
@@ -183,7 +186,8 @@ def test_exp_chain_matches_oracle(p, e):
 def test_exp_and_zech_across_block_and_chunk_boundaries():
     # q - 1 > 2^17, so doubling blocks span several 2^16-row chunks.  Check
     # exp[k+1] = g * exp[k] around every power of two and every multiple of
-    # 2^16, and the whole Zech table against digitwise 1 + x.
+    # 2^16, log as the inverse of exp, and the whole Zech table against
+    # digitwise 1 + x.
     p, e = 3, 12
     table = build_field(p, e)
     qm1, mod = table.q - 1, table.params.modulus
@@ -192,6 +196,7 @@ def test_exp_and_zech_across_block_and_chunk_boundaries():
     for k in sorted({k for b in edges for k in (b - 2, b - 1, b) if 0 <= k < qm1}):
         step = oracle_mul(_digits(int(table.exp[k]), p, e), g_digits, mod, p)
         assert _code(step, p) == int(table.exp[(k + 1) % qm1]), k
+    np.testing.assert_array_equal(table.log[table.exp], np.arange(qm1))
 
     digits = table.exp[:, None] // p ** np.arange(e) % p
     digits[:, 0] = (digits[:, 0] + 1) % p
