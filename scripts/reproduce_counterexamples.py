@@ -4,9 +4,15 @@ The subfield F_3 is a maximal subfield clique of GP*(81,4) yet sits inside
 a maximal clique of size 9; F_5 does the same in GP*(15625,62) with size
 25.  Both live below every sufficient-condition threshold, which is the
 only regime where this can happen.
+
+Each counterexample line also gives the witness pool W (the common
+neighbours of the subfield F) and its number of orbits under the maps
+x -> ux + f with u in <g^L> and f in F, which the exact extension
+searches one orbit at a time.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -39,8 +45,12 @@ def main() -> int:
     found = find_counterexamples(SweepConfig(max_order=args.max_order, kinds=("peisert",)))
     for r in found:
         c = r.case
+        step = (c.order - 1) // (c.q - 1)
+        group = c.q * (c.order - 1) // math.lcm(step, c.d)
+        pool = len(r.witnesses)
         print(f"  p={c.p} s={c.s} n={c.n} d={c.d}: subfield F_{c.q} sits in a "
-              f"maximal clique of size {r.extended_clique_size} ({r.regime.name})")
+              f"maximal clique of size {r.extended_clique_size} ({r.regime.name}); "
+              f"pool {pool} = {pool // group} orbits of {group}")
     bad = [r for r in found if r.verdict == "VIOLATION"]
     print(f"{len(found)} counterexamples, {len(bad)} violations")
     return 1 if bad else 0

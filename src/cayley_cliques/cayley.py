@@ -10,6 +10,15 @@ No adjacency matrix is materialized; adjacency queries go through the
 field's log table, and neighborhood scans filter candidate arrays one
 clique vertex at a time.  Exact maximum-clique searches run on bitset
 adjacency rows of small induced subgraphs only.
+
+The exact extension of a subfield F uses the graph's symmetry.  The maps
+x -> ux + f with f in F and u in the units of F that lie in class 0 mod d
+fix F and S, so they permute the witness pool W (the common neighbors of
+F), and they act on it without fixed points.  Every maximum clique of W
+can be moved onto one through the smallest member of an orbit, avoiding
+all earlier orbits; so the search runs one rooted subproblem per orbit
+(vertex-rooted branch and bound, as in Tomita et al., J. Global Optim.
+2010), each only asked to beat the best size so far.
 """
 
 from __future__ import annotations
@@ -234,6 +243,15 @@ class CayleyGraph:
         return sorted(cur)
 
     def _extend_exact(self, base: list[Element], exact_budget: int) -> list[Element]:
+        """Base plus a maximum clique of its witness pool W.
+
+        When the base is a subfield F, the maximum clique size comes from one
+        rooted subproblem per orbit of W under x -> ux + f (see _pool_orbits);
+        otherwise from one search over all of W.  Either way the clique
+        returned is the one a single search of W seeded with the greedy
+        extension returns: the seed when nothing beats it, else the first
+        clique of the optimum size that search meets.
+        """
         pool = self.common_neighbors(base)
         if len(pool) > exact_budget:
             raise ExactBudgetExceeded(
@@ -241,32 +259,105 @@ class CayleyGraph:
             )
         if not pool:
             return list(base)
-        masks = self._induced_masks(np.array(pool, dtype=np.int64))
-        # Seed the search with the greedy extension: the pool is ascending, so
-        # the lowest candidate bit is the smallest common neighbor.
+        vertices = np.array(pool, dtype=np.int64)
+        adjacency = self._induced_adjacency(vertices)
+        masks = _row_masks(adjacency)
+        # Greedy extension: the pool is ascending, so the lowest candidate bit
+        # is the smallest common neighbor.
         seed, cand = 0, (1 << len(pool)) - 1
         while cand:
             low = cand & -cand
             seed |= low
             cand &= masks[low.bit_length() - 1]
-        best = maximum_clique(masks, seed=seed)
+        orbits = self._pool_orbits(base, vertices)
+        if orbits is None:
+            best = maximum_clique(masks, bound=seed.bit_count()) or seed
+        else:
+            size = self._orbit_clique_size(adjacency, orbits, seed.bit_count())
+            if size == seed.bit_count():
+                best = seed
+            else:
+                # The bound only cuts branches that cannot reach `size`, and
+                # the colourings and visit order do not depend on it, so this
+                # meets the same first size-`size` clique as an unbounded run.
+                best = maximum_clique(masks, bound=size - 1, stop_at=size)
         chosen = [pool[i] for i in _bits(best)]
         return sorted(base + chosen)
 
-    def _induced_masks(self, vertices: np.ndarray) -> list[int]:
-        masks = []
+    def _pool_orbits(self, base: list[Element], vertices: np.ndarray) -> list[np.ndarray] | None:
+        """Orbits of the witness pool under G = <g^L> x| F, or None if base is no subfield.
+
+        For base = F_{p^r}, step = (q-1)/(p^r-1) and L = lcm(step, d): g^L
+        lies in F* and in class 0 mod d, so x -> ux + f (u in <g^L>, f in F)
+        fixes F and S and maps the pool onto itself.  With u != 1 it fixes
+        only a point of F, which the pool avoids, so G acts freely and every
+        orbit has |G| elements.  Orbits are pool-index arrays, ordered by
+        their smallest member, which comes first.  An image outside the pool,
+        or inside an earlier orbit, raises InvariantError.
+        """
+        t = self.table
+        r = next((r for r in range(1, t.e) if t.e % r == 0 and t.p**r == len(base)), None)
+        if r is None or tuple(base) != t.subfield_elements(r):
+            return None
+        shifts = np.arange(0, t.qm1, math.lcm(t.subfield_step(r), self.d))
+        n = len(vertices)
+        orbit_of = np.full(n, -1, dtype=np.int64)
+        orbits = []
+        for i in range(n):
+            if orbit_of[i] >= 0:
+                continue
+            scaled = t.exp[(int(t.log[vertices[i]]) + shifts) % t.qm1]
+            images = np.concatenate([t.add_many(scaled, f) for f in base])
+            at = np.searchsorted(vertices, images).clip(max=n - 1)
+            if (
+                not np.array_equal(vertices[at], images)
+                or (orbit_of[at] >= 0).any()
+                or np.unique(at).size != at.size
+            ):
+                raise InvariantError(
+                    f"x -> ux + f over F_{{{t.p}^{r}}} does not map the orbit of witness "
+                    f"{int(vertices[i])} onto {images.size} free pool elements: corrupt tables"
+                )
+            orbit_of[at] = len(orbits)
+            orbits.append(np.sort(at))
+        return orbits
+
+    @staticmethod
+    def _orbit_clique_size(adjacency: np.ndarray, orbits: list[np.ndarray], lower: int) -> int:
+        """Clique number of the pool, given a clique of `lower` vertices.
+
+        A maximum clique C meets a first orbit O_i; a group element moves
+        C onto a clique through O_i's smallest member w_i that avoids
+        O_1, ..., O_{i-1}.  So the answer is the largest 1 + omega of
+        N(w_i) minus the earlier orbits, and each subproblem only has to
+        beat the best size so far.
+        """
+        best = lower
+        free = np.ones(len(adjacency), dtype=bool)  # outside finished orbits
+        for orbit in orbits:
+            if np.count_nonzero(free) <= best:
+                break
+            sub = np.flatnonzero(adjacency[orbit[0]] & free)
+            if sub.size >= best:
+                found = maximum_clique(_row_masks(adjacency[np.ix_(sub, sub)]), bound=best - 1)
+                if found:
+                    best = 1 + found.bit_count()
+            free[orbit] = False
+        return best
+
+    def _induced_adjacency(self, vertices: np.ndarray) -> np.ndarray:
+        """Boolean adjacency matrix of the subgraph induced on vertices."""
+        rows = np.empty((len(vertices), len(vertices)), dtype=bool)
         for i, v in enumerate(vertices):
-            row = self._member_mask(self.table.sub_many(vertices, int(v)))
-            row[i] = False
-            masks.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-        return masks
+            rows[i] = self._member_mask(self.table.sub_many(vertices, int(v)))
+            rows[i, i] = False
+        return rows
 
     def clique_number(self, *, cap: int = 4096) -> int:
         """Exact clique number; vertex-transitivity roots the search at 0."""
         if self.table.q > cap:
             raise CapExceeded(f"clique_number on q={self.table.q} exceeds cap {cap}")
-        s = self.connection_set()
-        masks = self._induced_masks(s)
+        masks = _row_masks(self._induced_adjacency(self.connection_set()))
         return 1 + maximum_clique(masks).bit_count()
 
     # ------------------------------------------------------------ subfields
@@ -368,7 +459,7 @@ def _degeneracy_order(neighbors: list[int]) -> list[int]:
     return order
 
 
-def maximum_clique(neighbors: list[int], seed: int = 0) -> int:
+def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = None) -> int:
     """Maximum clique of a bitset-encoded graph, as a vertex bitmask.
 
     neighbors[v] is the bitmask of vertices adjacent to v (irreflexive,
@@ -376,12 +467,17 @@ def maximum_clique(neighbors: list[int], seed: int = 0) -> int:
     pivot rule strengthened to a greedy coloring: candidates expand in
     color order and a branch is cut when R plus its color bound cannot
     beat the incumbent.  Vertices are relabeled in degeneracy order first,
-    which keeps the colorings tight.  seed is a known clique bitmask used
-    as the initial incumbent.
+    which keeps the colorings tight.
+
+    bound is a clique size known to be reachable: only larger cliques are
+    sought, and 0 comes back when there is none.  The incumbent changes
+    only on strict gains, so the answer is the first clique of the
+    maximum size the search meets.  With stop_at the search ends at the
+    first clique of at least that size.
     """
     n = len(neighbors)
     if n == 0:
-        return seed
+        return 0
     order = _degeneracy_order(neighbors)
     order.reverse()  # densest core gets the low labels
     pos = {v: i for i, v in enumerate(order)}
@@ -395,11 +491,10 @@ def maximum_clique(neighbors: list[int], seed: int = 0) -> int:
         relabeled.append(mask)
 
     best_mask = 0
-    best_size = seed.bit_count()
-    found_better = False
+    best_size = bound
 
     def expand(r_mask: int, r_size: int, p_mask: int) -> None:
-        nonlocal best_mask, best_size, found_better
+        nonlocal best_mask, best_size
         # Greedy coloring of the candidates; color = clique-size upper bound.
         order_v: list[int] = []
         bound_v: list[int] = []
@@ -425,14 +520,21 @@ def maximum_clique(neighbors: list[int], seed: int = 0) -> int:
                 expand(r_mask | vbit, r_size + 1, new_p)
             elif r_size + 1 > best_size:
                 best_mask, best_size = r_mask | vbit, r_size + 1
-                found_better = True
+                if stop_at is not None and best_size >= stop_at:
+                    # No branch can beat n vertices: every open frame
+                    # returns at its next bound check.
+                    best_size = n
             p_mask ^= vbit
 
     expand(0, 0, (1 << n) - 1)
-    if not found_better:
-        return seed
     # map back to the original labels
     out = 0
     for i in _bits(best_mask):
         out |= 1 << order[i]
     return out
+
+
+def _row_masks(adjacency: np.ndarray) -> list[int]:
+    """Rows of a boolean adjacency matrix as neighbor bitmasks."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

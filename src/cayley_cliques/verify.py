@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import sympy
 
 from .cayley import CayleyGraph, ExactBudgetExceeded, GraphKind, make_graph
-from .charsum import epsilon_star, unit_root
+from .charsum import _segment_closest, epsilon_star, unit_root
 from .ff import DEFAULT_CAP, FieldTable, build_field, factorize
 
 
@@ -107,7 +107,11 @@ def check_hypotheses(case: CaseParams) -> HypothesisRegime:
     # The epsilon route assumes the graph contains the Paley graph GP(q^n, d),
     # i.e. class 0 is part of the connection set.
     if 0 in case.kind.j:
-        eps = epsilon_star([unit_root(d, j) for j in sorted(case.kind.j)]).epsilon_star
+        if case.kind.name == "peisert":
+            # The half-circle hull is closest to the origin on its closing chord.
+            eps = _segment_closest(unit_root(d, d // 2 - 1), unit_root(d, 0))[0]
+        else:
+            eps = epsilon_star([unit_root(d, j) for j in sorted(case.kind.j)]).epsilon_star
         if eps > 0.0:
             thr = (n - 1) ** 2 / eps**2
             name = "proposition" if q > thr else "below_threshold"

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cayley_cliques
 from clique_corpus import corpus, exhaustive_max_clique, induced_bitmasks
 from cayley_cliques import (
     CapExceeded,
@@ -264,6 +272,195 @@ def test_extension_that_stops_short_is_an_invariant_error(gpstar81_4, monkeypatc
     monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, budget: base)
     with pytest.raises(InvariantError, match="non-maximal"):
         gpstar81_4.extend_to_maximal_clique((0, 1, 2), "exact")
+
+
+# ---------------------------------------------------------------------------
+# orbit-rooted exact extension vs the whole-pool search it replaced
+
+def _reference_degeneracy_order(neighbors: list[int]) -> list[int]:
+    n = len(neighbors)
+    remaining = (1 << n) - 1
+    degs = [nb.bit_count() for nb in neighbors]
+    order = []
+    for _ in range(n):
+        best_v, best_d = -1, n + 1
+        for v in range(n):
+            if remaining >> v & 1 and degs[v] < best_d:
+                best_v, best_d = v, degs[v]
+        order.append(best_v)
+        remaining ^= 1 << best_v
+        for u in range(n):
+            if remaining >> u & 1 and neighbors[best_v] >> u & 1:
+                degs[u] -= 1
+    return order
+
+
+def _reference_seeded_search(neighbors: list[int], seed: int) -> int:
+    """The seeded whole-graph colour-bound search, kept as it was before
+    the orbit-rooted extension: the seed comes back unless a strictly
+    larger clique is met, otherwise the first clique of the maximum size."""
+    n = len(neighbors)
+    order = _reference_degeneracy_order(neighbors)[::-1]
+    pos = {v: i for i, v in enumerate(order)}
+    relabeled = [sum(1 << pos[u] for u in range(n) if neighbors[v] >> u & 1) for v in order]
+    best_mask, best_size = 0, seed.bit_count()
+
+    def expand(r_mask: int, r_size: int, p_mask: int) -> None:
+        nonlocal best_mask, best_size
+        order_v, bound_v, color, rem = [], [], 0, p_mask
+        while rem:
+            color += 1
+            avail = rem
+            while avail:
+                low = avail & -avail
+                order_v.append(low.bit_length() - 1)
+                bound_v.append(color)
+                avail &= ~(relabeled[low.bit_length() - 1] | low)
+                rem ^= low
+        for i in range(len(order_v) - 1, -1, -1):
+            if r_size + bound_v[i] <= best_size:
+                return
+            vbit = 1 << order_v[i]
+            new_p = p_mask & relabeled[order_v[i]]
+            if new_p:
+                expand(r_mask | vbit, r_size + 1, new_p)
+            elif r_size + 1 > best_size:
+                best_mask, best_size = r_mask | vbit, r_size + 1
+            p_mask ^= vbit
+
+    expand(0, 0, (1 << n) - 1)
+    if not best_mask:
+        return seed
+    return sum(1 << order[i] for i in range(n) if best_mask >> i & 1)
+
+
+def _reference_extension(graph, base) -> tuple[int, ...]:
+    """Base plus the seeded search over its whole witness pool."""
+    pool = graph.common_neighbors(base)
+    neighbors = induced_bitmasks(graph, pool)
+    seed, cand = 0, (1 << len(pool)) - 1
+    while cand:  # greedy: smallest remaining common neighbour first
+        low = cand & -cand
+        seed |= low
+        cand &= neighbors[low.bit_length() - 1]
+    best = _reference_seeded_search(neighbors, seed)
+    return tuple(sorted(list(base) + [v for i, v in enumerate(pool) if best >> i & 1]))
+
+
+# (p, E, r, kind): GP*(81,4); GF(3^6) cases whose greedy seed is not
+# optimal, so the stop-at-optimum pass runs; GF(5^4), GF(7^4) and GF(5^6)
+# cases whose seed is optimal; and a residue kind on GF(7^4) with
+# gcd(step, d) = 2 < d, where L = lcm(step, d) = 3 step and the seed (21)
+# is not optimal (49).
+ORBIT_CASES = [
+    (3, 4, 1, GraphKind.peisert(4)),
+    (3, 6, 1, GraphKind.peisert(26)),
+    (3, 6, 1, GraphKind.peisert(52)),
+    (3, 6, 1, GraphKind.peisert(182)),
+    (3, 6, 1, GraphKind.peisert(364)),
+    (5, 4, 1, GraphKind.peisert(12)),
+    (7, 4, 1, GraphKind.peisert(16)),
+    (7, 4, 1, GraphKind.residue_class(6, {0, 1, 2, 4})),
+    (5, 6, 1, GraphKind.peisert(186)),
+]
+NX_CASES = [c for c in ORBIT_CASES if c[:2] != (5, 6)]
+
+
+def _case_id(value):
+    return f"{value.name}{value.d}" if isinstance(value, GraphKind) else str(value)
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    tables = {}
+
+    def graph(p, e, kind):
+        if (p, e) not in tables:
+            tables[p, e] = build_field(p, e)
+        return make_graph(tables[p, e], kind)
+    return graph
+
+
+@pytest.mark.parametrize("p,e,r,kind", ORBIT_CASES, ids=_case_id)
+def test_orbit_extension_matches_the_whole_pool_search(graphs, p, e, r, kind):
+    graph = graphs(p, e, kind)
+    base = graph.table.subfield_elements(r)
+    report = graph.extend_to_maximal_clique(base, "exact")
+    assert report.clique == _reference_extension(graph, base)
+
+
+@pytest.mark.parametrize("p,e,r,kind", ORBIT_CASES, ids=_case_id)
+def test_pool_orbits_partition_the_pool_into_free_orbits(graphs, p, e, r, kind):
+    graph = graphs(p, e, kind)
+    base = list(graph.table.subfield_elements(r))
+    pool = np.array(graph.common_neighbors(base), dtype=np.int64)
+    orbits = graph._pool_orbits(base, pool)
+    step = graph.table.subfield_step(r)
+    group_order = graph.table.qm1 // math.lcm(step, kind.d) * p**r
+    assert all(len(orbit) == group_order for orbit in orbits)
+    assert sorted(np.concatenate(orbits).tolist()) == list(range(len(pool)))
+    assert [int(orbit[0]) for orbit in orbits] == sorted(int(o.min()) for o in orbits)
+
+
+def test_non_subfield_base_takes_the_whole_pool_search(gpstar81_4):
+    base = [0, 9]
+    assert gpstar81_4.is_clique(base)
+    pool = np.array(gpstar81_4.common_neighbors(base), dtype=np.int64)
+    assert gpstar81_4._pool_orbits(base, pool) is None
+    report = gpstar81_4.extend_to_maximal_clique(base, "exact")
+    assert report.clique == _reference_extension(gpstar81_4, base)
+
+
+@pytest.mark.parametrize("p,e,r,kind", NX_CASES, ids=_case_id)
+def test_extension_size_matches_networkx_on_witness_pools(graphs, p, e, r, kind):
+    graph = graphs(p, e, kind)
+    base = graph.table.subfield_elements(r)
+    pool = graph.common_neighbors(base)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(pool)
+    nxg.add_edges_from((u, v) for i, u in enumerate(pool) for v in pool[i + 1:]
+                       if graph.adjacent(u, v))
+    _, omega = nx.max_weight_clique(nxg, weight=None)
+    assert len(graph.extend_to_maximal_clique(base, "exact").clique) == len(base) + omega
+    # The orbit search alone, with no greedy seed to fall back on.
+    vertices = np.array(pool, dtype=np.int64)
+    orbits = graph._pool_orbits(list(base), vertices)
+    assert CayleyGraph._orbit_clique_size(graph._induced_adjacency(vertices), orbits, 0) == omega
+
+
+def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81, monkeypatch):
+    graph = make_graph(gf81, GraphKind.peisert(4))
+    log = gf81.log.copy()
+    log[12] = (log[12] + 40) % 80  # the log of -12: same class, so 12 stays a witness
+    monkeypatch.setattr(gf81, "log", log)
+    with pytest.raises(InvariantError, match="orbit of witness 12"):
+        graph.extend_to_maximal_clique((0, 1, 2), "exact")
+
+
+def test_orbit_invariance_check_survives_optimize():
+    src = Path(cayley_cliques.__file__).parents[1]
+    script = (
+        "import sys\n"
+        "from cayley_cliques import GraphKind, InvariantError, build_field, make_graph\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        "table = build_field(3, 4)\n"
+        "log = table.log.copy()\n"
+        "log[12] = (log[12] + 40) % 80\n"
+        "table.log = log\n"
+        "try:\n"
+        "    make_graph(table, GraphKind.peisert(4)).extend_to_maximal_clique((0, 1, 2))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "orbit of witness 12" in done.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from cayley_cliques import (
     check_hypotheses,
     conjecture_r,
     enumerate_cases,
+    epsilon_star,
     find_counterexamples,
     make_case,
     make_graph,
@@ -23,6 +24,7 @@ from cayley_cliques import (
     verify_case,
     verify_conjecture_case,
 )
+from cayley_cliques.charsum import _segment_closest, half_circle_points, unit_root
 from cayley_cliques.cli import main
 from cayley_cliques.verify import THEOREM_REPORT_SCHEMA, report_lines, summary_csv
 
@@ -55,6 +57,16 @@ def test_peisert_regimes():
     assert high.name == "theorem2"
     assert high.threshold == pytest.approx(4**4 / (math.pi**2 * 9), abs=1e-9)
 
+
+
+def test_peisert_epsilon_is_the_hull_distance_bit_for_bit():
+    # check_hypotheses reads the Peisert eps* off the closing chord; the
+    # regime_epsilon and regime_threshold bytes depend on exact equality.
+    for d in range(4, 1001, 2):
+        chord = _segment_closest(unit_root(d, d // 2 - 1), unit_root(d, 0))[0]
+        assert chord == epsilon_star(half_circle_points(d)).epsilon_star, d
+    regime = check_hypotheses(make_case(3, 1, 4, 4, "peisert"))
+    assert regime.epsilon == epsilon_star(half_circle_points(4)).epsilon_star
 
 def test_case_validation():
     with pytest.raises(ValueError, match="odd prime"):
