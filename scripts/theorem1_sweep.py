@@ -2,7 +2,8 @@
 
 For n in 2..5 this covers all prime powers q <= (n-1)^2; n=6 is capped at
 q <= 13 by default (q = 17 needs a ~2.4e7-element field; pass --full-n6
-and a sufficient --cap to include it).  An empty violation and
+and a sufficient --cap to include it: --full-n6 --cap 30000000 takes about
+6 s with a 350 MB peak on a 2-core machine).  An empty violation and
 counterexample list supports dropping the threshold altogether.
 """
 

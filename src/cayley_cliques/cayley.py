@@ -8,8 +8,11 @@ graphs take J = {0, ..., d/2 - 1}.  Requiring q == 1 (mod 2d) makes
 
 No adjacency matrix is materialized; adjacency queries go through the
 field's log table, and neighborhood scans filter candidate arrays one
-clique vertex at a time.  Exact maximum-clique searches run on bitset
-adjacency rows of small induced subgraphs only.
+clique vertex at a time.  A set that contains a subfield starts from one
+representative exponent per coset of a subgroup that fixes the subfield
+and S, not from the whole field (see common_neighbors).  Exact
+maximum-clique searches run on bitset adjacency rows of small induced
+subgraphs only.
 
 The exact extension of a subfield F uses the graph's symmetry.  The maps
 x -> ux + f with f in F and u in the units of F that lie in class 0 mod d
@@ -179,25 +182,59 @@ class CayleyGraph:
     # -------------------------------------------------------------- cliques
 
     def is_clique(self, vertices) -> bool:
-        vs = sorted(set(vertices))
-        for i in range(len(vs)):
-            for k in range(i + 1, len(vs)):
-                if not self.adjacent(vs[i], vs[k]):
-                    return False
-        return True
+        """Every pair adjacent: each vertex against the later ones, one array at a time."""
+        vs = np.array(sorted(set(vertices)), dtype=np.int64)
+        return all(
+            self._member_mask(self.table.sub_many(vs[i + 1 :], int(v))).all()
+            for i, v in enumerate(vs[:-1])
+        )
 
     def common_neighbors(self, vertices) -> list[Element]:
         """Vertices adjacent to every element of the set, ascending.
 
-        Filters the full code range one clique vertex at a time; members of
-        the set drop out on their own pass (x - x = 0 is never in S).
+        When the set contains a proper subfield F = F_{p^r}, the common
+        neighbors of F come from the log domain.  With step = (q-1)/(p^r-1)
+        and L = lcm(step, d), g^L lies in F* and in class 0 mod d, so
+        multiplying by it fixes F and S and the common neighbors of F are a
+        union of <g^L>-orbits.  Only the exponents k < L with k mod d in J are
+        read (these are the c = 0 pass), filtered by the nonzero elements of
+        F and expanded by the multiples of L.  Any other set starts from the
+        whole field.  Each remaining vertex then filters the candidates;
+        members of the set drop out on their own pass (x - x = 0 is never
+        in S).
         """
-        cand = np.arange(self.table.q, dtype=np.int64)
-        for c in sorted(set(vertices)):
-            cand = cand[self._member_mask(self.table.sub_many(cand, c))]
+        t = self.table
+        rest = sorted(set(vertices))
+        r = self._subfield_within(rest)
+        if r is None:
+            cand = np.arange(t.q, dtype=np.int64)
+        else:
+            subfield = t.subfield_elements(r)
+            period = math.lcm(t.subfield_step(r), self.d)
+            exponents = np.flatnonzero(np.resize(self._j_lut, period))
+            reps = self._filter(t.exp[exponents], subfield[1:])
+            orbits = t.log[reps][:, None] + np.arange(0, t.qm1, period)
+            cand = np.sort(t.exp[orbits.ravel()])
+            members = set(subfield)
+            rest = [v for v in rest if v not in members]
+        return [int(v) for v in self._filter(cand, rest)]
+
+    def _filter(self, cand: np.ndarray, vertices) -> np.ndarray:
+        """The candidates adjacent to every vertex, in their input order."""
+        for c in vertices:
             if cand.size == 0:
                 break
-        return [int(v) for v in cand]
+            cand = cand[self._member_mask(self.table.sub_many(cand, c))]
+        return cand
+
+    def _subfield_within(self, vertices) -> int | None:
+        """Degree r of the largest proper subfield F_{p^r} inside the set, or None."""
+        t = self.table
+        present = set(vertices)
+        for r in range(t.e - 1, 0, -1):
+            if t.e % r == 0 and t.p**r <= len(present) and present.issuperset(t.subfield_elements(r)):
+                return r
+        return None
 
     def is_maximal_clique(self, vertices) -> tuple[bool, list[Element]]:
         """(maximal?, witnesses); witnesses are the common neighbors, ascending."""
@@ -296,8 +333,8 @@ class CayleyGraph:
         or inside an earlier orbit, raises InvariantError.
         """
         t = self.table
-        r = next((r for r in range(1, t.e) if t.e % r == 0 and t.p**r == len(base)), None)
-        if r is None or tuple(base) != t.subfield_elements(r):
+        r = self._subfield_within(base)
+        if r is None or t.p**r != len(base):
             return None
         shifts = np.arange(0, t.qm1, math.lcm(t.subfield_step(r), self.d))
         n = len(vertices)
@@ -434,28 +471,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _degeneracy_order(neighbors: list[int]) -> list[int]:
-    """Vertices in repeated-minimum-degree removal order."""
-    n = len(neighbors)
-    remaining = (1 << n) - 1
-    degs = [nb.bit_count() for nb in neighbors]
+def _degeneracy_order(adjacency: np.ndarray) -> list[int]:
+    """Vertices in repeated-minimum-degree removal order; ties go to the lowest label."""
+    n = len(adjacency)
+    degs = adjacency.sum(axis=1, dtype=np.int64)
     order = []
     for _ in range(n):
-        best_v, best_d = -1, n + 1
-        scan = remaining
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            if degs[v] < best_d:
-                best_v, best_d = v, degs[v]
-        order.append(best_v)
-        remaining ^= 1 << best_v
-        nbs = neighbors[best_v] & remaining
-        while nbs:
-            low = nbs & -nbs
-            nbs ^= low
-            degs[low.bit_length() - 1] -= 1
+        v = int(np.argmin(degs))
+        order.append(v)
+        degs -= adjacency[v]
+        # Above any live degree (< n) even after the <= n - 1 decrements to come.
+        degs[v] = 2 * n + 1
     return order
 
 
@@ -478,17 +504,10 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
     n = len(neighbors)
     if n == 0:
         return 0
-    order = _degeneracy_order(neighbors)
+    adjacency = _unpack_masks(neighbors)
+    order = _degeneracy_order(adjacency)
     order.reverse()  # densest core gets the low labels
-    pos = {v: i for i, v in enumerate(order)}
-    relabeled: list[int] = []
-    for v in order:
-        mask, nbs = 0, neighbors[v]
-        while nbs:
-            low = nbs & -nbs
-            nbs ^= low
-            mask |= 1 << pos[low.bit_length() - 1]
-        relabeled.append(mask)
+    relabeled = _row_masks(adjacency[np.ix_(order, order)])
 
     best_mask = 0
     best_size = bound
@@ -538,3 +557,11 @@ def _row_masks(adjacency: np.ndarray) -> list[int]:
     """Rows of a boolean adjacency matrix as neighbor bitmasks."""
     packed = np.packbits(adjacency, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_masks(neighbors: list[int]) -> np.ndarray:
+    """Neighbor bitmasks as a boolean adjacency matrix; inverse of _row_masks."""
+    n = len(neighbors)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in neighbors), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)

@@ -31,6 +31,9 @@ from sympy.polys.galoistools import gf_irreducible_p
 Element = int
 
 DEFAULT_CAP = 1 << 24
+# Tables are int32: codes and logs stay below q.  At q = 2^31 the three
+# tables alone would take 24 GiB, so such fields are refused whatever the cap.
+MAX_FIELD = 1 << 31
 
 
 class CapExceeded(ValueError):
@@ -131,20 +134,21 @@ _CHUNK = 1 << 16  # rows per vectorized pass; bounds the transients
 
 
 def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
-    """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1.
+    """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1, as int32.
 
     Doubling: once g^0..g^(m-1) are known, the next block is the first one
     scaled by b = g^m.  Scaling by b is F_p-linear, so it is the e x e matrix
     whose row i holds the digits of b * x^i mod f (the regular
     representation).  Each 2^16-row chunk is decoded to digits, multiplied
-    by that matrix mod p and encoded again.  Every intermediate is below
-    max(e * p^2, q), which fits int64 for any table that fits in memory.
+    by that matrix mod p and encoded again in int64: every intermediate is
+    below max(e * p^2, q) < 2^63 since q < MAX_FIELD.  The encoded codes are
+    below q and are stored as int32.
     """
     pow_p = p ** np.arange(e, dtype=np.int64)
     shift = np.eye(e, k=1, dtype=np.int64)  # multiplication by x
     shift[-1] = [(-c) % p for c in modulus[:e]]
     b = np.array(_decode(g, p, e), dtype=np.int64)
-    exp = np.empty(q - 1, dtype=np.int64)
+    exp = np.empty(q - 1, dtype=np.int32)
     exp[0] = 1
     m = 1
     while m < q - 1:
@@ -181,13 +185,15 @@ class FieldTable:
         Characteristic, extension degree, field size p^e.
     g : int
         Code of the primitive root the tables are based on.
-    exp : ndarray, shape (q-1,)
+    exp : int32 ndarray, shape (q-1,)
         exp[k] is the code of g^k.
-    log : ndarray, shape (q,)
+    log : int32 ndarray, shape (q,)
         Discrete log base g; log[0] = -1 is a sentinel, never a valid log.
-    zech : ndarray, shape (q-1,)
+    zech : int32 ndarray, shape (q-1,)
         Zech logarithm: zech[k] = log(1 + g^k), so zech[(q-1)/2] = -1 marks
         1 + g^k = 0.  Built on the first addition, not by build_field.
+
+    The three tables take 12 bytes per element once zech is built.
     """
 
     def __init__(self, params: FieldParams, g: int, exp: np.ndarray, log: np.ndarray):
@@ -213,7 +219,7 @@ class FieldTable:
     @cached_property
     def zech(self) -> np.ndarray:
         # 1 + x only bumps the constant digit of x's code, wrapping p - 1 to 0.
-        zech = np.empty(self.qm1, dtype=np.int64)
+        zech = np.empty(self.qm1, dtype=np.int32)
         for lo in range(0, self.qm1, _CHUNK):
             plus_one = self.exp[lo : lo + _CHUNK] + 1
             plus_one[plus_one % self.p == 0] -= self.p
@@ -268,7 +274,7 @@ class FieldTable:
             return same
         la = self.log[codes]
         z = self.zech[(int(self.log[c]) - la) % self.qm1]
-        out = self.exp[(la + z) % self.qm1]
+        out = self.exp[np.add(la, z, dtype=np.int64) % self.qm1]  # la + z can pass 2^31
         out[z < 0] = 0  # x = -c
         out[codes == 0] = c
         return out
@@ -336,7 +342,10 @@ FIELD_SCHEMA = {
 
 
 def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
-    """Build the tables for GF(p^e); p an odd prime, e >= 1, p^e <= cap."""
+    """Build the tables for GF(p^e); p an odd prime, e >= 1, p^e <= cap.
+
+    Fields of MAX_FIELD = 2^31 elements or more are refused whatever the cap.
+    """
     if not isinstance(p, int) or p < 2 or not sympy.isprime(p):
         raise ValueError(f"p={p} is not prime")
     if p == 2:
@@ -344,6 +353,8 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     if e < 1:
         raise ValueError(f"extension degree e={e} must be >= 1")
     q = p**e
+    if q >= MAX_FIELD:
+        raise CapExceeded(f"field size {p}^{e} = {q} is not below the int32 table limit 2^31")
     if q > cap:
         raise CapExceeded(f"field size {p}^{e} = {q} exceeds cap {cap}")
 
@@ -352,7 +363,7 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
 
     exp = _build_exp(p, e, q, modulus, g)
 
-    log = np.full(q, -1, dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int32)
     for lo in range(0, q - 1, _CHUNK):
         log[exp[lo : lo + _CHUNK]] = np.arange(lo, min(lo + _CHUNK, q - 1))
     # Coverage doubles as an order certificate: a non-generator would revisit

@@ -32,6 +32,7 @@ from cayley_cliques import (
     make_graph,
     maximum_clique,
 )
+from cayley_cliques.cayley import _degeneracy_order, _row_masks, _unpack_masks
 
 # ---------------------------------------------------------------------------
 # kinds
@@ -122,6 +123,25 @@ def test_adjacency_is_translation_invariant(data):
     shifted = graph.adjacent(graph.table.add(x, t), graph.table.add(y, t))
     assert graph.adjacent(x, y) == shifted
     assert graph.adjacent(x, y) == graph.adjacent(y, x)
+
+
+# GP(81, 2) and GP(625, 2), whose subfields F_9 and F_25 are cliques: subsets
+# drawn from the subfield plus a few arbitrary codes are cliques or not.
+IS_CLIQUE_CASES = [
+    (make_graph(build_field(3, 4), GraphKind.paley(2)), 2),
+    (make_graph(build_field(5, 4), GraphKind.paley(2)), 2),
+]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_clique_matches_pairwise_adjacency(data):
+    graph, r = data.draw(st.sampled_from(IS_CLIQUE_CASES))
+    vertices = data.draw(st.sets(st.sampled_from(graph.table.subfield_elements(r))))
+    vertices |= data.draw(st.sets(st.integers(0, graph.table.q - 1), max_size=2))
+    vs = sorted(vertices)
+    expected = all(graph.adjacent(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+    assert graph.is_clique(vertices) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +277,47 @@ def test_subfield_clique_matches_log_table_scan():
                     assert graph.subfield_is_clique(r) == expected, (p, e, kind, r)
                     outcomes[kind.name, expected] += 1
     assert all(outcomes.values()), outcomes
+
+
+def test_common_neighbors_of_subfields_match_a_whole_field_scan():
+    """Log-domain witness scan vs a scan of every code.
+
+    The oracle subtracts digit by digit, so it shares no Zech arithmetic
+    with the scan.  Every GF(p^E) of order <= 4096, every d | (q-1)/2,
+    every proper r | E; Paley, Peisert and seeded random class sets J.  F
+    plus its smallest witness contains F, so it takes the same scan and is
+    checked too.
+    """
+    rng = random.Random(20227)
+    with_witnesses = without = 0
+    for p, e in _fields_up_to(4096):
+        if e == 1:
+            continue
+        table = build_field(p, e)
+        pow_p = p ** np.arange(e)
+        digits = np.arange(table.q)[:, None] // pow_p % p
+        for d in sympy.divisors(table.qm1 // 2):
+            for kind in _kinds_for(d, rng):
+                graph = make_graph(table, kind)
+                in_s = np.isin(table.log % d, sorted(kind.j))
+                in_s[0] = False
+                for r in sympy.divisors(e)[:-1]:
+                    base = table.subfield_elements(r)
+                    assert graph._subfield_within(base) == r
+                    adjacent_to_all = np.ones(table.q, dtype=bool)
+                    for f in base:
+                        adjacent_to_all &= in_s[(digits - digits[f]) % p @ pow_p]
+                    expected = np.flatnonzero(adjacent_to_all).tolist()
+                    assert graph.common_neighbors(base) == expected, (p, e, kind, r)
+                    if not expected:
+                        without += 1
+                        continue
+                    with_witnesses += 1
+                    adjacent_to_all &= in_s[(digits - digits[expected[0]]) % p @ pow_p]
+                    assert graph.common_neighbors(base + (expected[0],)) == (
+                        np.flatnonzero(adjacent_to_all).tolist()
+                    ), (p, e, kind, r)
+    assert with_witnesses and without
 
 
 def test_corrupt_tables_are_caught_by_the_subfield_cross_checks(gf81, monkeypatch):
@@ -469,6 +530,32 @@ def test_orbit_invariance_check_survives_optimize():
 @pytest.mark.parametrize("name,neighbors", corpus(), ids=lambda v: v if isinstance(v, str) else "")
 def test_maximum_clique_matches_exhaustive_search(name, neighbors):
     assert maximum_clique(neighbors).bit_count() == exhaustive_max_clique(neighbors)
+
+
+def _random_graph(n: int, density: float, rng: random.Random) -> list[int]:
+    neighbors = [0] * n
+    for i in range(n):
+        for k in range(i + 1, n):
+            if rng.random() < density:
+                neighbors[i] |= 1 << k
+                neighbors[k] |= 1 << i
+    return neighbors
+
+
+def test_degeneracy_order_matches_the_reference():
+    """The numpy removal order vs the scalar loop, ties included.
+
+    The corpus holds regular graphs (every degree tied); sparse random
+    graphs have many ties on few distinct degrees.
+    """
+    rng = random.Random(31)
+    graphs = [neighbors for _, neighbors in corpus()]
+    graphs += [_random_graph(n, density, rng)
+               for n in (1, 10, 37, 120, 300) for density in (0.02, 0.1, 0.5, 0.9)]
+    for neighbors in graphs:
+        adjacency = _unpack_masks(neighbors)
+        assert _row_masks(adjacency) == neighbors
+        assert _degeneracy_order(adjacency) == _reference_degeneracy_order(neighbors)
 
 
 def test_maximum_clique_result_is_a_clique():

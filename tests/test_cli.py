@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from cayley_cliques import ff
 from cayley_cliques.cayley import CLIQUE_REPORT_SCHEMA, GRAPH_SCHEMA, CayleyGraph
 from cayley_cliques.charsum import EPSILON_SCHEMA, KATZ_REPORT_SCHEMA
 from cayley_cliques.cli import main
@@ -178,6 +180,43 @@ def test_cap_env_var_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("CAYLEY_CLIQUE_CAP", "banana")
     code, _, err = run(capsys, "field", "--p", "3", "--s", "2")
     assert code == 2 and "CAYLEY_CLIQUE_CAP" in err
+
+
+def test_field_of_2_to_the_31_elements_exits_2_whatever_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(ff, "_smallest_generator", None)  # a call would raise, not allocate
+    code, _, err = run(capsys, "field", "--p", "2147483659", "--s", "1", "--cap", str(2**40))
+    assert code == 2 and "2^31" in err
+
+
+# The sweep calls of the paley-sweep and peisert-hunt benchmark workloads
+# (perfbench/workloads.py).  Their JSONL lines and CSV rows were recorded in
+# perfbench/reference/ before the int32 tables and the log-domain scan.
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
+PINNED_SWEEPS = {
+    "paley-sweep": [
+        ["--kind", "paley", "--n-min", str(n), "--n-max", str(n),
+         "--max-base", str(b), "--max-order", str(b**n)]
+        for n, b in ((3, 4), (4, 9), (5, 16), (6, 9))
+    ],
+    "peisert-hunt": [["--kind", "peisert", "--max-order", "5000"]],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_SWEEPS))
+def test_sweeps_match_the_recorded_benchmark_outputs(workload, tmp_path, capsys):
+    recorded = json.loads((REFERENCE / f"{workload}.json").read_text())
+    seen = {}
+    for i, args in enumerate(PINNED_SWEEPS[workload]):
+        out = tmp_path / f"sweep{i}.jsonl"
+        code, _, _ = run(capsys, "sweep", *args, "--out", str(out))
+        lines = out.read_text().splitlines()
+        rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            c = json.loads(line)["case"]
+            key = f"case {c['p']} {c['s']} {c['n']} {c['d']} {c['kind']}"
+            seen[key] = {"rc": code, "jsonl": line, "csv": row}
+    assert seen == {k: v for k, v in recorded.items() if k.startswith("case ")}
 
 
 def test_csv_format_outside_sweep_is_rejected(capsys):

@@ -377,6 +377,27 @@ def test_cap_enforced():
     assert build_field(5, 4, cap=625).q == 625
 
 
+def test_fields_of_2_to_the_31_elements_are_refused_whatever_the_cap(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("build_field went past the size check")
+
+    # If the refusal were missing, the build would stop here instead of
+    # allocating int32 tables of 2^31 entries.
+    monkeypatch.setattr(ff, "_smallest_generator", no_build)
+    monkeypatch.setattr(ff, "_smallest_irreducible", no_build)
+    with pytest.raises(CapExceeded, match="2\\^31"):
+        build_field(2147483659, 1, cap=2**40)
+    with pytest.raises(CapExceeded, match="2\\^31"):
+        build_field(3, 20, cap=2**40)  # 3^20 = 3,486,784,401
+
+
+def test_tables_are_int32_and_add_many_matches_scalar_add(gf81):
+    codes = np.arange(gf81.q)
+    for b in range(gf81.q):
+        assert gf81.add_many(codes, b).tolist() == [gf81.add(a, b) for a in range(gf81.q)]
+    assert {t.dtype for t in (gf81.exp, gf81.log, gf81.zech)} == {np.dtype(np.int32)}
+
+
 def test_zero_division(gf13):
     with pytest.raises(ZeroDivisionError):
         gf13.inv(0)
