@@ -230,14 +230,14 @@ class FieldTable:
     def add(self, a: Element, b: Element) -> Element:
         if a == 0 or b == 0:
             return a + b
-        la = int(self.log[a])
-        z = int(self.zech[(int(self.log[b]) - la) % self.qm1])
-        return 0 if z < 0 else int(self.exp[(la + z) % self.qm1])
+        la = self.log.item(a)
+        z = self.zech.item((self.log.item(b) - la) % self.qm1)
+        return 0 if z < 0 else self.exp.item((la + z) % self.qm1)
 
     def neg(self, a: Element) -> Element:
         if a == 0:
             return 0
-        return int(self.exp[(int(self.log[a]) + self.qm1 // 2) % self.qm1])
+        return self.exp.item((self.log.item(a) + self.qm1 // 2) % self.qm1)
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
@@ -245,12 +245,12 @@ class FieldTable:
     def mul(self, a: Element, b: Element) -> Element:
         if a == 0 or b == 0:
             return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % self.qm1])
+        return self.exp.item((self.log.item(a) + self.log.item(b)) % self.qm1)
 
     def inv(self, a: Element) -> Element:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.exp[(-int(self.log[a])) % self.qm1])
+        return self.exp.item(-self.log.item(a) % self.qm1)
 
     def pow(self, a: Element, k: int) -> Element:
         if a == 0:
@@ -259,7 +259,7 @@ class FieldTable:
             if k == 0:
                 return 1
             raise ZeroDivisionError("0 cannot be raised to a negative power")
-        return int(self.exp[(int(self.log[a]) * k) % self.qm1])
+        return self.exp.item(self.log.item(a) * k % self.qm1)
 
     # ------------------------------------------------------- vectorized ops
 
@@ -316,6 +316,24 @@ class FieldTable:
             if n_over % m == 0 and (k * pow(self.p, r * m, self.qm1)) % self.qm1 == k:
                 return m
         raise RuntimeError("Frobenius orbit did not close")  # unreachable
+
+    def full_degree_elements(self, r: int) -> np.ndarray:
+        """Nonzero codes theta, ascending, with F_{p^r}(theta) the whole field; requires r | e.
+
+        0 has degree 1, so for r < e no theta is left out.  A unit theta has
+        degree n = e/r over F_{p^r} exactly when it lies in no field
+        F_{p^(r n / l)} for a prime l | n, that is, when its log is a multiple
+        of none of those subfields' steps.  degree_over_base(theta, r) == n
+        is the same test, one code at a time.
+        """
+        if r < 1 or self.e % r != 0:
+            raise NotADivisor(f"r={r} does not divide e={self.e}")
+        n = self.e // r
+        units = self.log[1:]  # the logs of the codes 1 .. q-1
+        valid = np.ones(self.qm1, dtype=bool)
+        for ell in set(factorize(n)):
+            valid &= units % self.subfield_step(r * n // ell) != 0
+        return np.flatnonzero(valid) + 1
 
     # --------------------------------------------------------------- output
 

@@ -7,6 +7,7 @@ import math
 from itertools import combinations_with_replacement
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,36 @@ def test_katz_report_matches_oracle(gf81, r, d):
     assert abs(report.max_ratio - _katz_oracle_max_ratio(gf81, r, d)) < 1e-9
     assert report.n == 4 // r
     assert abs(report.bound - (report.n - 1) * math.sqrt(3**r)) < 1e-12
+
+
+def _katz_per_theta(table, r, d):
+    """(max_ratio, worst_theta, theta_count) of a scan that filters theta by
+    degree_over_base and evaluates one magnitude per theta."""
+    chi = Character(table, d)
+    n = table.e // r
+    base = table.subfield_elements(r)
+    bound = (n - 1) * math.sqrt(table.p**r)
+    max_ratio, worst_theta, count = -1.0, -1, 0
+    for theta in table.elements():
+        if table.degree_over_base(theta, r) != n:
+            continue
+        count += 1
+        ratio = line_sum(chi, theta, base).magnitude() / bound
+        if ratio > max_ratio:
+            max_ratio, worst_theta = ratio, theta
+    return max_ratio, worst_theta, count
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 3), (3, 6)])
+def test_katz_scan_matches_a_per_theta_scan_bit_for_bit(p, e):
+    """One magnitude per distinct count vector and the log-residue theta set
+    change no bit of the report: n = 2, 3, 4 and 6 (two primes l | n)."""
+    table = build_field(p, e)
+    for r in sympy.divisors(e)[:-1]:
+        for d in sympy.divisors(table.qm1)[1:]:
+            report = katz_bound_check(table, r, d)
+            expected = _katz_per_theta(table, r, d)
+            assert (report.max_ratio, report.worst_theta, report.theta_count) == expected, (r, d)
 
 
 def test_katz_worst_theta_is_deterministic(gf81):

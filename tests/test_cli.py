@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+import sympy
 
 from cayley_cliques import ff
 from cayley_cliques.cayley import CLIQUE_REPORT_SCHEMA, GRAPH_SCHEMA, CayleyGraph
@@ -217,6 +222,54 @@ def test_sweeps_match_the_recorded_benchmark_outputs(workload, tmp_path, capsys)
             key = f"case {c['p']} {c['s']} {c['n']} {c['d']} {c['kind']}"
             seen[key] = {"rc": code, "jsonl": line, "csv": row}
     assert seen == {k: v for k, v in recorded.items() if k.startswith("case ")}
+
+
+def _katz_scan_calls(max_order: int = 729):
+    """The katz calls of the katz-scan workload: every GF(p^E), E >= 2, of
+    order <= max_order, every proper r | E and every d > 1 dividing p^E - 1."""
+    for p in sympy.primerange(3, math.isqrt(max_order) + 1):
+        e = 2
+        while p**e <= max_order:
+            for r in sympy.divisors(e)[:-1]:
+                for d in sympy.divisors(p**e - 1)[1:]:
+                    yield ["katz", "--p", str(p), "--s", str(r), "--n", str(e // r), "--d", str(d)]
+            e += 1
+
+
+def test_katz_scans_match_the_recorded_benchmark_outputs(capsys):
+    """Every katz call of the katz-scan workload, byte for byte against
+    perfbench/reference/katz-scan.json (recorded before the magnitude memo
+    and the log-residue theta set)."""
+    recorded = json.loads((REFERENCE / "katz-scan.json").read_text())
+    seen = {}
+    for argv in _katz_scan_calls():
+        code, out, _ = run(capsys, *argv)
+        seen["katz " + " ".join(argv[2::2])] = {"rc": code, "json": out}
+    assert len(seen) == 233
+    assert seen == recorded
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
+    """main reuses one parser; no default or state may leak between calls."""
+    calls = [
+        ["katz", "--p", "3", "--s", "1", "--n", "4"],  # no --d: argparse exits 2
+        ["verify", "--p", "3", "--s", "1", "--n", "4", "--d", "4", "--kind", "peisert",
+         "--exact-budget", "5"],
+        ["verify", "--p", "3", "--s", "1", "--n", "4", "--d", "4", "--kind", "peisert"],
+        ["katz", "--p", "3", "--s", "1", "--n", "4", "--d", "8"],
+        ["katz", "--p", "3", "--s", "1", "--n", "4"],
+    ]
+    src = Path(__file__).parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = "import sys; from cayley_cliques.cli import main; sys.exit(main(sys.argv[1:]))"
+    in_process = [run(capsys, *argv) for argv in calls]
+    for argv, got in zip(calls, in_process):
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 2]
+    assert json.loads(in_process[1][1]) != json.loads(in_process[2][1])
 
 
 def test_csv_format_outside_sweep_is_rejected(capsys):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -353,6 +354,24 @@ def test_degree_over_base_partitions(gf81):
     assert len(by_degree[2]) == 6
     assert len(by_degree[4]) == 72
     assert all(gf81.degree_over_base(x, 2) in (1, 2) for x in gf81.elements())
+
+
+def test_full_degree_elements_match_degree_over_base():
+    """Log-residue theta sets vs degree_over_base on every unit: every
+    GF(p^E) of order <= 4096 with E >= 2 and every r | E (r = E included)."""
+    checked = 0
+    for p in sympy.primerange(3, 65):
+        for e in range(2, 13):
+            if p**e > 4096:
+                break
+            table = build_field(p, e)
+            for r in sympy.divisors(e):
+                expected = [x for x in range(1, table.q) if table.degree_over_base(x, r) == e // r]
+                assert table.full_degree_elements(r).tolist() == expected, (p, e, r)
+                checked += 1
+    assert checked == 63
+    with pytest.raises(NotADivisor):
+        build_field(3, 4).full_degree_elements(3)
 
 
 # ---------------------------------------------------------------------------
