@@ -3,9 +3,8 @@
 import argparse
 import sys
 
-import sympy
-
 from cayley_cliques import build_field, katz_bound_check
+from cayley_cliques.ff import divisors, primerange
 
 
 def main() -> int:
@@ -18,12 +17,12 @@ def main() -> int:
 
     worst = (0.0, None)
     rows = 0
-    for p in sympy.primerange(3, int(args.max_order**0.5) + 1):
+    for p in primerange(3, int(args.max_order**0.5) + 1):
         e = 2
         while p**e <= args.max_order:
             table = build_field(p, e)
-            for r in sympy.divisors(e)[:-1]:
-                for d in sympy.divisors(table.qm1):
+            for r in divisors(e)[:-1]:
+                for d in divisors(table.qm1):
                     if d == 1:
                         continue
                     report = katz_bound_check(table, r, d)

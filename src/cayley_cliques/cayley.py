@@ -458,9 +458,6 @@ def make_graph(table: FieldTable, kind: GraphKind) -> CayleyGraph:
             f"q = {table.q} is not 1 mod 2d = {2 * kind.d}; classes would be "
             "ill-defined or the graph directed"
         )
-    # q == 1 (mod 2d), checked above, puts log(-1) = (q-1)/2 in class 0 mod d,
-    # so S = -S; the assert records that consequence and cannot fail.
-    assert (table.qm1 // 2) % kind.d == 0
     return CayleyGraph(table, kind)
 
 

@@ -13,20 +13,19 @@ the same three tables).  Prime and extension fields share every method.
 Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficient
 vectors compared from the constant term upward; irreducibility in GF(p)[x]
-is sympy's gf_irreducible_p) and the primitive root is the generator with
-the smallest code.  Two runs over the same (p, e) therefore produce
-identical tables.
+is Ben-Or's test, "Probabilistic algorithms in finite fields", FOCS 1981)
+and the primitive root is the generator with the smallest code.  Two runs
+over the same (p, e) therefore produce identical tables.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
 
 Element = int
 
@@ -48,19 +47,119 @@ class InvariantError(RuntimeError):
     """A mathematical invariant failed: the tables or the code are broken."""
 
 
+# --------------------------------------------------------------------------
+# integer arithmetic
+
+# The first twelve primes.  As Miller-Rabin bases they decide primality
+# exactly below psi_12 = 318665857834031151167461 > 2^64 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017); psi_12 itself passes all twelve.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: exact for n < 2^64, ValueError from there on."""
+    if n < 2:
+        return False
+    if n >= 1 << 64:
+        raise ValueError(f"primality of {n} is only decided below 2^64")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primerange(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), ascending: a sieve of Eratosthenes up to hi."""
+    lo = max(lo, 0)
+    if hi <= max(lo, 2):
+        return []
+    sieve = bytearray([1]) * hi
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(hi - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, hi, i)))
+    return list(itertools.compress(range(lo, hi), sieve[lo:]))
+
+
+_TRIAL_LIMIT = 1 << 10
+_TRIAL_PRIMES = primerange(2, _TRIAL_LIMIT)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's cycle search."""
+    for c in itertools.count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product hit 0 mod n: replay the batch step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:  # otherwise both factors closed their cycles together: next c
+            return g
+    raise RuntimeError("unreachable")
+
+
 def factorize(m: int) -> list[int]:
     """Prime factorization of m with multiplicity, ascending.
 
     factorize(1) == []; factorize(15624) == [2, 2, 2, 3, 3, 7, 31].
+    Trial division by the primes below 2^10, then Pollard-Brent rho on any
+    composite cofactor.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}: argument must be >= 1")
     if m > 1 << 48:
         raise CapExceeded(f"{m} exceeds the 2^48 factorization budget")
     out: list[int] = []
-    for prime, mult in sorted(sympy.factorint(m).items()):
-        out.extend([int(prime)] * mult)
-    return out
+    for prime in _TRIAL_PRIMES:
+        while m % prime == 0:
+            out.append(prime)
+            m //= prime
+    # Every prime factor left is >= 2^10, so a cofactor below 2^20 is prime.
+    pending = [m] if m > 1 else []
+    while pending:
+        n = pending.pop()
+        if n < _TRIAL_LIMIT**2 or is_prime(n):
+            out.append(n)
+        else:
+            f = _rho_factor(n)
+            pending += [f, n // f]
+    return sorted(out)
+
+
+def divisors(m: int) -> list[int]:
+    """All positive divisors of m >= 1, ascending."""
+    divs = [1]
+    for prime, run in itertools.groupby(factorize(m)):
+        powers = [prime**k for k in range(len(list(run)) + 1)]
+        divs = [d * pk for d in divs for pk in powers]
+    return sorted(divs)
 
 
 # --------------------------------------------------------------------------
@@ -105,14 +204,47 @@ def _decode(code: int, p: int, e: int) -> list[int]:
     return digits
 
 
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b in F_p[x], low degree first, without trailing zeros."""
+    a, b = list(a), list(b)
+    for poly in (a, b):
+        while poly and poly[-1] == 0:
+            poly.pop()
+    while b:
+        inv_lead = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv_lead % p
+            shift = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Ben-Or: monic f of degree e >= 2 is irreducible over F_p exactly when
+    gcd(x^(p^i) - x, f) = 1 for every i <= e/2."""
+    e = len(modulus) - 1
+    h = [0, 1] + [0] * (e - 2)  # x
+    for _ in range(e // 2):
+        h = _poly_pow_mod(h, p, modulus, p)  # x^(p^i)
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        if len(_poly_gcd(modulus, h_minus_x, p)) > 1:
+            return False
+    return True
+
+
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     # Lex order on (c_0, ..., c_{e-1}); candidates with c_0 = 0 have the
     # root 0 and are skipped wholesale.  The base-p digits of k, lowest
-    # first, are c_{e-1}, ..., c_0: sympy's order, highest degree first.
+    # first, are c_{e-1}, ..., c_0.
     for k in range(p ** (e - 1), p**e):
-        f = [1] + _decode(k, p, e)
-        if gf_irreducible_p(f, p, ZZ):
-            return tuple(reversed(f))
+        modulus = (*reversed(_decode(k, p, e)), 1)
+        if _is_irreducible(modulus, p):
+            return modulus
     raise RuntimeError(f"no irreducible polynomial of degree {e} over F_{p}")  # unreachable
 
 
@@ -364,7 +496,7 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
 
     Fields of MAX_FIELD = 2^31 elements or more are refused whatever the cap.
     """
-    if not isinstance(p, int) or p < 2 or not sympy.isprime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p == 2:
         raise ValueError("p must be an odd prime")

@@ -22,14 +22,11 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import sympy
 
 from .cayley import CayleyGraph, ExactBudgetExceeded, GraphKind, make_graph
 from .charsum import _segment_closest, epsilon_star, unit_root
-from .ff import DEFAULT_CAP, FieldTable, build_field, factorize
+from .ff import DEFAULT_CAP, FieldTable, build_field, divisors, factorize, is_prime, primerange
 
 
 class NoQualifyingR(ValueError):
@@ -63,7 +60,7 @@ class CaseParams:
 
 
 def make_case(p: int, s: int, n: int, d: int, kind_name: str) -> CaseParams:
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p == 2:
         raise ValueError("p must be an odd prime")
@@ -321,7 +318,7 @@ def enumerate_cases(config: SweepConfig) -> list[CaseParams]:
     """All admissible cases under the config, sorted by (p, s, n, d, kind)."""
     cases: list[CaseParams] = []
     q_limit = int(math.isqrt(config.max_order))
-    for p in sympy.primerange(3, q_limit + 1):
+    for p in primerange(3, q_limit + 1):
         s = 1
         while (q := p**s) <= q_limit:
             if config.max_base is not None and q > config.max_base:
@@ -331,7 +328,7 @@ def enumerate_cases(config: SweepConfig) -> list[CaseParams]:
                 if order > config.max_order:
                     break
                 half = (order - 1) // 2
-                for d in sympy.divisors(half):
+                for d in divisors(half):
                     if d < 2 or (config.d_max is not None and d > config.d_max):
                         continue
                     for kind_name in config.kinds:
@@ -362,6 +359,8 @@ def sweep(config: SweepConfig) -> list[TheoremReport]:
     groups = _field_groups(cases)
     payload = [(key, group, config.cap, config.exact_budget) for key, group in groups]
     if config.workers > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(_run_group, payload))
     else:

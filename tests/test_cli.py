@@ -272,6 +272,36 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
     assert json.loads(in_process[1][1]) != json.loads(in_process[2][1])
 
 
+def test_no_command_imports_sympy(tmp_path):
+    """sympy is a test oracle only: one call of every subcommand in a fresh
+    interpreter must leave it out of sys.modules."""
+    calls = [
+        ["field", "--p", "3", "--s", "2"],
+        ["graph-info", "--p", "13", "--s", "1", "--d", "3"],
+        ["verify", "--p", "3", "--s", "1", "--n", "4", "--d", "4", "--kind", "peisert"],
+        ["conjecture", "--p", "3", "--s", "4", "--d", "10"],
+        ["sweep", "--max-order", "100", "--kind", "both", "--out", str(tmp_path / "s.jsonl")],
+        ["katz", "--p", "3", "--s", "1", "--n", "4", "--d", "8"],
+        ["epsilon", "--d", "6"],
+        ["clique-extend", "--p", "3", "--s", "1", "--n", "4", "--d", "4", "--kind", "peisert"],
+    ]
+    src = Path(__file__).parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import json, sys\n"
+        "from cayley_cliques.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'sympy')\n"
+        "print(json.dumps([codes, loaded]), file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    codes, loaded = json.loads(done.stderr.splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert loaded == []
+
+
 def test_csv_format_outside_sweep_is_rejected(capsys):
     code, _, err = run(capsys, "field", "--p", "3", "--s", "2", "--format", "csv")
     assert code == 2

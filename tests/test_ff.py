@@ -2,15 +2,18 @@
 
 The oracles here share no code with the table builder: schoolbook
 multiplication on digit tuples, trial-division irreducibility, and
-brute-force generator search.
+brute-force generator search.  The package's number theory (primality,
+factoring, divisors, Ben-Or irreducibility) is checked against sympy.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from cayley_cliques import ff
 from cayley_cliques.ff import (
@@ -25,7 +30,10 @@ from cayley_cliques.ff import (
     InvariantError,
     NotADivisor,
     build_field,
+    divisors,
     factorize,
+    is_prime,
+    primerange,
 )
 
 # ---------------------------------------------------------------------------
@@ -101,6 +109,77 @@ SMALL_TABLES = [build_field(p, e) for p, e in [(13, 1), (3, 2), (3, 3), (5, 2), 
 def _oracle_mul_codes(table, a: int, b: int) -> int:
     p, e, mod = table.p, table.e, table.params.modulus
     return _code(oracle_mul(_digits(a, p, e), _digits(b, p, e), mod, p), p)
+
+
+# ---------------------------------------------------------------------------
+# number theory against sympy
+
+def test_is_prime_matches_sympy_below_200000():
+    assert [n for n in range(200_000) if is_prime(n)] == list(sympy.primerange(0, 200_000))
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_refuses_psi_12():
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    assert not is_prime(3825123056546413051)  # ... to every base up to 31, not to 37
+    assert is_prime(2**61 - 1) and is_prime(18446744073709551557)  # largest prime < 2^64
+    # psi_12 is a strong pseudoprime to all twelve bases: refused, not called prime
+    with pytest.raises(ValueError, match="2\\^64"):
+        is_prime(318665857834031151167461)
+
+
+def _sympy_factors(m: int) -> list[int]:
+    return [int(p) for p, mult in sorted(sympy.factorint(m).items()) for _ in range(mult)]
+
+
+def test_factorize_matches_sympy_on_random_arguments():
+    rng = random.Random(20261018)
+    for m in [rng.randrange(1, 2**48) for _ in range(300)] + [1, 2**48, 3**30, 1048573**2]:
+        assert factorize(m) == _sympy_factors(m), m
+
+
+def test_factorize_splits_two_24_bit_primes_quickly():
+    start = time.perf_counter()
+    assert factorize(16777213 * 16777199) == [16777199, 16777213]
+    assert time.perf_counter() - start < 0.05
+
+
+def test_factorize_contract():
+    with pytest.raises(ValueError):
+        factorize(0)
+    with pytest.raises(CapExceeded):
+        factorize(2**48 + 1)
+
+
+def test_divisors_and_primerange_match_sympy():
+    for m in [1, 2, 12, 15624, 2**20, 3**12 - 1, 16777213 * 3, 4093**2 - 1]:
+        assert divisors(m) == sympy.divisors(m), m
+    for lo, hi in [(0, 0), (0, 2), (0, 3), (3, 3), (5, 4), (3, 4097), (50, 100)]:
+        assert primerange(lo, hi) == list(sympy.primerange(lo, hi)), (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "p,e", [(3, e) for e in range(2, 7)] + [(5, e) for e in range(2, 5)] + [(7, 2), (7, 3), (13, 2)]
+)
+def test_ben_or_matches_sympy_on_every_monic_polynomial(p, e):
+    for poly in _monic_polys(p, e):
+        expected = gf_irreducible_p(list(reversed(poly)), p, ZZ)
+        assert ff._is_irreducible(poly, p) == expected, poly
+
+
+def test_smallest_irreducible_matches_a_sympy_search_up_to_2_to_the_24():
+    """Every GF(p^e) with e >= 2 and q <= 2^24, against the first monic
+    polynomial (constant-first lex order) that gf_irreducible_p accepts."""
+    checked = 0
+    for p in sympy.primerange(3, 2**12 + 1):
+        for e in itertools.count(2):
+            if p**e > 2**24:
+                break
+            # constant-first lex order from c_0 = 1: every c_0 = 0 polynomial has the root 0
+            candidates = itertools.product(range(1, p), *[range(p)] * (e - 1), [1])
+            expected = next(f for f in candidates if gf_irreducible_p(f[::-1], p, ZZ))
+            assert ff._smallest_irreducible(p, e) == expected, (p, e)
+            checked += 1
+    assert checked == 661
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +463,8 @@ def test_rejects_bad_characteristic():
         build_field(9, 1)
     with pytest.raises(ValueError, match="not prime"):
         build_field(1, 1)
+    with pytest.raises(ValueError, match="2\\^64"):
+        build_field(2**64 + 13, 1)  # prime, but past the exact range of is_prime
     with pytest.raises(ValueError):
         build_field(3, 0)
 
