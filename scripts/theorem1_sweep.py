@@ -22,7 +22,6 @@ def main() -> int:
     ap.add_argument("--full-n6", action="store_true",
                     help="raise the n=6 base bound from 13 to 17")
     ap.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=Path, default=None, help="JSONL path (CSV lands next to it)")
     args = ap.parse_args()
 
@@ -34,7 +33,7 @@ def main() -> int:
             base_cap = (n - 1) ** 2
         config = SweepConfig(max_order=max(base_cap**n, 9), n_min=n, n_max=n,
                              max_base=base_cap, kinds=("paley",),
-                             cap=args.cap, workers=args.workers)
+                             cap=args.cap)
         t0 = time.perf_counter()
         reports = sweep(config)
         broken = [r for r in reports if r.maximal_subfield_clique and not r.maximal_clique]

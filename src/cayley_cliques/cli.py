@@ -21,8 +21,8 @@ from .cayley import ExactBudgetExceeded, GraphKind, make_graph
 from .charsum import epsilon_star, katz_bound_check, unit_root
 from .ff import DEFAULT_CAP, InvariantError, build_field
 from .verify import (
+    NoQualifyingR,
     SweepConfig,
-    conjecture_r,
     make_case,
     report_lines,
     summary_csv,
@@ -70,12 +70,10 @@ def _write(text: str, out: Path | None) -> None:
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    elif args.format == "text":
+    if args.format == "text":
         _write("\n".join(_text_lines(doc)) + "\n", args.out)
     else:
-        raise ValueError("--format csv is only available for the sweep command")
+        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
 
 
 # --------------------------------------------------------------------------
@@ -103,13 +101,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     q = args.p**args.s
-    r = conjecture_r(q, args.d)
-    if r is None:
+    try:
+        report = verify_conjecture_case(q, args.d, cap=args.cap)
+    except NoQualifyingR:
         # No qualifying subfield: reported, not fatal.
         _emit({"q": q, "d": args.d, "r": None, "verdict": "no_qualifying_r"}, args)
         return 0
-    report = verify_conjecture_case(q, args.d, cap=args.cap)
-    _emit({"q": q, "d": args.d, "r": r, "report": report.to_json()}, args)
+    _emit({"q": q, "d": args.d, "r": report.case.s, "report": report.to_json()}, args)
     return 1 if report.verdict == "VIOLATION" else 0
 
 
@@ -122,7 +120,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         d_max=args.d_max,
         max_base=args.max_base,
         kinds=kinds,
-        workers=args.workers,
         cap=args.cap,
         exact_budget=args.exact_budget,
     )
@@ -243,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-max", type=int, default=None)
     sp.add_argument("--max-base", type=int, default=None, help="only bases q = p^s up to this")
     sp.add_argument("--kind", choices=("paley", "peisert", "both"), default="both")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--exact-budget", type=int, default=2000)
     _add_output_flags(sp, formats=("json", "csv", "text"))
 

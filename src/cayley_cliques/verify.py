@@ -22,11 +22,13 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cayley import CayleyGraph, ExactBudgetExceeded, GraphKind, make_graph
 from .charsum import _segment_closest, epsilon_star, unit_root
-from .ff import DEFAULT_CAP, FieldTable, build_field, divisors, factorize, is_prime, primerange
+from .ff import (DEFAULT_CAP, MAX_FIELD, FieldTable, build_field, divisors, factorize,
+                 is_prime, primerange)
 
 
 class NoQualifyingR(ValueError):
@@ -277,8 +279,8 @@ def verify_conjecture_case(q: int, d: int, *, cap: int = DEFAULT_CAP) -> Theorem
 
     This is exactly a Paley case with base degree r and extension s/r.
     """
-    p, s = _prime_power(q)
     r = conjecture_r(q, d)
+    p, s = _prime_power(q)
     if r is None:
         raise NoQualifyingR(f"no r dividing {s} has d={d} | (q-1)/(p^r-1) for q={q}")
     return verify_case(make_case(p, r, s // r, d, "paley"), cap=cap)
@@ -298,7 +300,6 @@ class SweepConfig:
     d_max: int | None = None
     max_base: int | None = None
     kinds: tuple[str, ...] = ("paley", "peisert")
-    workers: int = 1
     cap: int = DEFAULT_CAP
     exact_budget: int = 2000
 
@@ -307,6 +308,8 @@ class SweepConfig:
             raise ValueError("n_min must be >= 2")
         if self.n_max < self.n_min:
             raise ValueError("n_max must be >= n_min")
+        if self.max_order >= MAX_FIELD:
+            raise ValueError(f"max_order {self.max_order} is not below the table limit 2^31")
         if self.max_order > self.cap:
             raise ValueError(f"max_order {self.max_order} exceeds the field cap {self.cap}")
         for k in self.kinds:
@@ -314,60 +317,47 @@ class SweepConfig:
                 raise ValueError(f"unknown kind {k!r}")
 
 
+def _field_groups(config: SweepConfig) -> Iterator[tuple[int, int, list[CaseParams]]]:
+    """(p, E, cases) for each field GF(p^E) that carries a case, by (p, E).
+
+    The cases of GF(p^E) are the (p, s, n, d, kind) with s n = E; d runs
+    over the divisors of (p^E - 1)/2, computed once per field.
+    """
+    for p in primerange(3, math.isqrt(config.max_order) + 1):
+        E = config.n_min
+        while (order := p**E) <= config.max_order:
+            bases = [s for s in range(1, E // config.n_min + 1)
+                     if E % s == 0 and E // s <= config.n_max
+                     and (config.max_base is None or p**s <= config.max_base)]
+            ds = [d for d in (divisors((order - 1) // 2) if bases else ())
+                  if d >= 2 and (config.d_max is None or d <= config.d_max)]
+            cases = [make_case(p, s, E // s, d, kind_name)
+                     for s in bases for d in ds for kind_name in config.kinds
+                     if kind_name == "paley" or (d % 2 == 0 and d >= 4)]
+            if cases:
+                yield p, E, cases
+            E += 1
+
+
 def enumerate_cases(config: SweepConfig) -> list[CaseParams]:
     """All admissible cases under the config, sorted by (p, s, n, d, kind)."""
-    cases: list[CaseParams] = []
-    q_limit = int(math.isqrt(config.max_order))
-    for p in primerange(3, q_limit + 1):
-        s = 1
-        while (q := p**s) <= q_limit:
-            if config.max_base is not None and q > config.max_base:
-                break
-            for n in range(config.n_min, config.n_max + 1):
-                order = q**n
-                if order > config.max_order:
-                    break
-                half = (order - 1) // 2
-                for d in divisors(half):
-                    if d < 2 or (config.d_max is not None and d > config.d_max):
-                        continue
-                    for kind_name in config.kinds:
-                        if kind_name == "peisert" and (d % 2 != 0 or d < 4):
-                            continue
-                        cases.append(make_case(p, s, n, d, kind_name))
-            s += 1
-    cases.sort(key=CaseParams.sort_key)
-    return cases
+    cases = [case for _, _, group in _field_groups(config) for case in group]
+    return sorted(cases, key=CaseParams.sort_key)
 
 
-def _field_groups(cases: list[CaseParams]) -> list[tuple[tuple[int, int], list[CaseParams]]]:
-    groups: dict[tuple[int, int], list[CaseParams]] = {}
-    for case in cases:
-        groups.setdefault((case.p, case.s * case.n), []).append(case)
-    return sorted(groups.items())
-
-
-def _run_group(args: tuple[tuple[int, int], list[CaseParams], int, int]) -> list[TheoremReport]:
-    (p, E), group, cap, exact_budget = args
-    table = build_field(p, E, cap=cap)
-    return [verify_case(c, cap=cap, exact_budget=exact_budget, table=table) for c in group]
+def _verify_field(p: int, E: int, cases: list[CaseParams],
+                  config: SweepConfig) -> list[TheoremReport]:
+    """One field's cases on one table, which is released on return."""
+    table = build_field(p, E, cap=config.cap)
+    return [verify_case(c, exact_budget=config.exact_budget, table=table) for c in cases]
 
 
 def sweep(config: SweepConfig) -> list[TheoremReport]:
-    """Run every enumerated case; output is sorted and run-to-run identical."""
-    cases = enumerate_cases(config)
-    groups = _field_groups(cases)
-    payload = [(key, group, config.cap, config.exact_budget) for key, group in groups]
-    if config.workers > 1 and len(groups) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_run_group, payload))
-    else:
-        chunks = [_run_group(item) for item in payload]
-    reports = [report for chunk in chunks for report in chunk]
-    reports.sort(key=lambda r: r.case.sort_key())
-    return reports
+    """Run every enumerated case, one field table at a time; output is sorted
+    and run-to-run identical."""
+    reports = [report for p, E, cases in _field_groups(config)
+               for report in _verify_field(p, E, cases, config)]
+    return sorted(reports, key=lambda r: r.case.sort_key())
 
 
 def find_counterexamples(config: SweepConfig) -> list[TheoremReport]:

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 import sympy
 
-from cayley_cliques import ff
+from cayley_cliques import ff, verify
 from cayley_cliques.cayley import CLIQUE_REPORT_SCHEMA, GRAPH_SCHEMA, CayleyGraph
 from cayley_cliques.charsum import EPSILON_SCHEMA, KATZ_REPORT_SCHEMA
 from cayley_cliques.cli import main
@@ -191,6 +191,17 @@ def test_field_of_2_to_the_31_elements_exits_2_whatever_the_cap(capsys, monkeypa
     monkeypatch.setattr(ff, "_smallest_generator", None)  # a call would raise, not allocate
     code, _, err = run(capsys, "field", "--p", "2147483659", "--s", "1", "--cap", str(2**40))
     assert code == 2 and "2^31" in err
+
+
+def test_sweep_beyond_2_to_the_31_exits_2_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "primerange", None)  # enumerating would raise, not exit 2
+    code, _, err = run(capsys, "sweep", "--max-order", str(2**31), "--cap", str(2**32))
+    assert code == 2 and "2^31" in err
+
+
+def test_sweep_workers_flag_is_gone(capsys):
+    code, _, err = run(capsys, "sweep", "--max-order", "100", "--workers", "2")
+    assert code == 2 and "--workers" in err
 
 
 # The sweep calls of the paley-sweep and peisert-hunt benchmark workloads

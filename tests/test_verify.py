@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import jsonschema
 import pytest
@@ -21,6 +23,7 @@ from cayley_cliques import (
     make_case,
     make_graph,
     sweep,
+    verify,
     verify_case,
     verify_conjecture_case,
 )
@@ -186,6 +189,8 @@ def test_sweep_config_validation():
         SweepConfig(max_order=100, n_min=4, n_max=3)
     with pytest.raises(ValueError):
         SweepConfig(max_order=1 << 30)
+    with pytest.raises(ValueError, match="2\\^31"):
+        SweepConfig(max_order=1 << 31, cap=1 << 32)
     with pytest.raises(ValueError):
         SweepConfig(max_order=100, kinds=("paley", "petersen"))
 
@@ -200,6 +205,45 @@ def test_enumeration_is_sorted_and_admissible():
         assert (case.order - 1) % (2 * case.d) == 0
         if case.kind.name == "peisert":
             assert case.d % 2 == 0 and case.d >= 4
+
+
+def _brute_force_cases(config: SweepConfig) -> list:
+    """Every (p, s, n, d, kind) under the config, straight from the definitions."""
+    cases = []
+    for p in range(3, math.isqrt(config.max_order) + 1):
+        if any(p % k == 0 for k in range(2, p)):
+            continue
+        for s in range(1, config.max_order.bit_length()):
+            q = p**s
+            if config.max_base is not None and q > config.max_base:
+                continue
+            for n in range(config.n_min, config.n_max + 1):
+                order = q**n
+                if order > config.max_order:
+                    continue
+                for d in range(2, order):
+                    if (order - 1) % (2 * d) or (config.d_max is not None and d > config.d_max):
+                        continue
+                    for kind in config.kinds:
+                        if kind == "paley" or (d % 2 == 0 and d >= 4):
+                            cases.append(make_case(p, s, n, d, kind))
+    return sorted(cases, key=lambda c: c.sort_key())
+
+
+@pytest.mark.parametrize("max_order", [81, 750, 5000])
+@pytest.mark.parametrize("bounds", [
+    {},
+    {"n_min": 3, "n_max": 4},
+    {"n_max": 2},
+    {"n_min": 4, "n_max": 12},
+    {"d_max": 6},
+    {"max_base": 9},
+    {"kinds": ("peisert",)},
+    {"kinds": ("peisert", "paley"), "n_max": 3, "d_max": 40, "max_base": 25},
+], ids=str)
+def test_enumeration_matches_a_brute_force_oracle(max_order, bounds):
+    config = SweepConfig(max_order=max_order, **bounds)
+    assert enumerate_cases(config) == _brute_force_cases(config)
 
 
 def test_enumeration_below_smallest_graph_is_empty():
@@ -223,12 +267,28 @@ def test_sweep_reports_follow_verdict_invariants():
         assert r.verdict != "VIOLATION"
 
 
-def test_sweep_is_deterministic_and_worker_count_invariant():
+def test_sweep_is_deterministic():
     config = SweepConfig(max_order=650)
-    first = report_lines(sweep(config))
-    assert first == report_lines(sweep(config))
-    parallel = SweepConfig(max_order=650, workers=2)
-    assert first == report_lines(sweep(parallel))
+    assert report_lines(sweep(config)) == report_lines(sweep(config))
+
+
+def test_sweep_holds_one_field_table_at_a_time(monkeypatch):
+    live = weakref.WeakSet()
+    built = []
+    real_build = verify.build_field
+
+    def tracked_build(p, e, *, cap):
+        gc.collect()
+        assert not live, f"GF({p}^{e}) is built while another table is alive"
+        table = real_build(p, e, cap=cap)
+        live.add(table)
+        built.append((p, e))
+        return table
+
+    monkeypatch.setattr(verify, "build_field", tracked_build)
+    reports = sweep(SweepConfig(max_order=750))
+    fields = sorted({(r.case.p, r.case.s * r.case.n) for r in reports})
+    assert built == fields and len(fields) > 1
 
 
 def _sweep_outputs(directory) -> tuple[str, str, bytes, bytes]:
