@@ -5,6 +5,10 @@ q <= 13 by default (q = 17 needs a ~2.4e7-element field; pass --full-n6
 and a sufficient --cap to include it: --full-n6 --cap 30000000 takes about
 6 s with a 350 MB peak on a 2-core machine).  An empty violation and
 counterexample list supports dropping the threshold altogether.
+
+Every n's bounds are checked before the first sweep: an n whose fields reach
+the 2^31 table limit or pass --cap (--n-max 7, say) gets one "error:" line
+on stderr and exit status 2, with nothing on stdout.
 """
 
 import argparse
@@ -25,15 +29,22 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=None, help="JSONL path (CSV lands next to it)")
     args = ap.parse_args()
 
+    plan = []
+    try:
+        for n in range(2, args.n_max + 1):
+            if n == 6:
+                base_cap = 17 if args.full_n6 else 13
+            else:
+                base_cap = (n - 1) ** 2
+            plan.append((n, base_cap, SweepConfig(max_order=max(base_cap**n, 9), n_min=n,
+                                                  n_max=n, max_base=base_cap,
+                                                  kinds=("paley",), cap=args.cap)))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     all_reports = []
-    for n in range(2, args.n_max + 1):
-        if n == 6:
-            base_cap = 17 if args.full_n6 else 13
-        else:
-            base_cap = (n - 1) ** 2
-        config = SweepConfig(max_order=max(base_cap**n, 9), n_min=n, n_max=n,
-                             max_base=base_cap, kinds=("paley",),
-                             cap=args.cap)
+    for n, base_cap, config in plan:
         t0 = time.perf_counter()
         reports = sweep(config)
         broken = [r for r in reports if r.maximal_subfield_clique and not r.maximal_clique]

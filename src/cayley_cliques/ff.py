@@ -269,32 +269,43 @@ def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.n
     """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1, as int32.
 
     Doubling: once g^0..g^(m-1) are known, the next block is the first one
-    scaled by b = g^m.  Scaling by b is F_p-linear, so it is the e x e matrix
-    whose row i holds the digits of b * x^i mod f (the regular
-    representation).  Each 2^16-row chunk is decoded to digits, multiplied
-    by that matrix mod p and encoded again in int64: every intermediate is
-    below max(e * p^2, q) < 2^63 since q < MAX_FIELD.  The encoded codes are
-    below q and are stored as int32.
+    scaled by b = g^m, an F_p-linear map: the e x e matrix M(b) whose row i
+    holds the digits of b * x^i mod f.  M(g) comes from the companion shift,
+    and each round squares it: M(b^2) = M(b)^2.  Chunks of 2^16 rows are
+    decoded digit-major, D[i] = exp // p^i % p, and scaled as sum_i M[i] D[i]
+    in the smallest unsigned type holding its bound e * (p-1)^2 (uint8 for
+    GF(3^12)).  One reduction mod p follows, then a Horner encoding in int32,
+    every partial value below q < MAX_FIELD.  Remainders are x - (x // p) * p:
+    numpy divides by a scalar with a multiply and shift, but not in `%`.
     """
-    pow_p = p ** np.arange(e, dtype=np.int64)
+    pow_p = p ** np.arange(e + 1, dtype=np.int32)  # p^e = q < MAX_FIELD
+    acc_t = np.min_scalar_type(e * (p - 1) ** 2)
     shift = np.eye(e, k=1, dtype=np.int64)  # multiplication by x
     shift[-1] = [(-c) % p for c in modulus[:e]]
-    b = np.array(_decode(g, p, e), dtype=np.int64)
+    rows = [np.array(_decode(g, p, e), dtype=np.int64)]
+    for _ in range(e - 1):
+        rows.append(rows[-1] @ shift % p)
+    scale = np.array(rows)  # M(g^m) for the current m
     exp = np.empty(q - 1, dtype=np.int32)
     exp[0] = 1
     m = 1
     while m < q - 1:
         take = min(m, q - 1 - m)
-        rows = [b]
-        for _ in range(e - 1):
-            rows.append(rows[-1] @ shift % p)
-        scale = np.array(rows)
+        coef = scale.astype(acc_t)[:, :, None]  # coef[i] scales row i of D
         for lo in range(0, take, _CHUNK):
             hi = min(lo + _CHUNK, take)
-            digits = exp[lo:hi, None] // pow_p % p
-            exp[m + lo : m + hi] = (digits @ scale % p) @ pow_p
+            quot = exp[lo:hi] // pow_p[:, None]
+            digits = (quot[:-1] - quot[1:] * p).astype(acc_t)
+            acc = coef[0] * digits[0]
+            for i in range(1, e):
+                acc += coef[i] * digits[i]
+            acc = (acc - acc // p * p).astype(np.int32)
+            code = acc[-1]
+            for i in range(e - 2, -1, -1):
+                code = code * p + acc[i]
+            exp[m + lo : m + hi] = code
         m += take
-        b = b @ scale % p  # b^2 = g^m for the new m
+        scale = scale @ scale % p
     return exp
 
 
@@ -515,7 +526,8 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
 
     log = np.full(q, -1, dtype=np.int32)
     for lo in range(0, q - 1, _CHUNK):
-        log[exp[lo : lo + _CHUNK]] = np.arange(lo, min(lo + _CHUNK, q - 1))
+        hi = min(lo + _CHUNK, q - 1)
+        log[exp[lo:hi].astype(np.intp)] = np.arange(lo, hi, dtype=np.int32)
     # Coverage doubles as an order certificate: a non-generator would revisit
     # codes and leave gaps.  Every Zech lookup reads log, so this also
     # guards addition.

@@ -199,6 +199,19 @@ def test_sweep_beyond_2_to_the_31_exits_2_before_enumerating(capsys, monkeypatch
     assert code == 2 and "2^31" in err
 
 
+def test_theorem1_sweep_past_the_table_limit_exits_2_before_sweeping():
+    # n = 7 needs max order 36^7 > 2^31; n = 2..6 must not be swept first.
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "theorem1_sweep.py"),
+                           "--n-max", "7"], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and "2^31" in done.stderr
+
+
 def test_sweep_workers_flag_is_gone(capsys):
     code, _, err = run(capsys, "sweep", "--max-order", "100", "--workers", "2")
     assert code == 2 and "--workers" in err

@@ -250,7 +250,15 @@ def test_mul_matches_oracle_sampled_large(gf625):
         assert gf625.mul(int(a), int(b)) == _oracle_mul_codes(gf625, int(a), int(b))
 
 
-@pytest.mark.parametrize("p,e", [(13, 1), (65537, 1), (3, 2), (3, 4), (5, 2), (5, 4), (7, 3)])
+# The exp builder sums digit products in the smallest unsigned type holding
+# e * (p-1)^2.  These fields sit at the edges of that bound: (11, 2) = 200 and
+# (17, 1) = 256 straddle uint8; (181, 2) = 64,800, (191, 2) = 72,200 and
+# (257, 1) = 65,536 straddle uint16; (65521, 1) fills uint32 and (65537, 1)
+# needs uint64.  In (13, 3) = 432 and (193, 2) = 73,728 the single product
+# (p-1)^2 fits a narrower type than the sum, and the sum overflows it.
+@pytest.mark.parametrize("p,e", [(13, 1), (65537, 1), (3, 2), (3, 4), (5, 2), (5, 4), (7, 3),
+                                 (11, 2), (17, 1), (181, 2), (191, 2), (257, 1), (65521, 1),
+                                 (13, 3), (193, 2)])
 def test_exp_chain_matches_oracle(p, e):
     # exp[k+1] = g * exp[k] for every k certifies the whole log table
     table = build_field(p, e)
@@ -263,11 +271,27 @@ def test_exp_chain_matches_oracle(p, e):
     assert _code(acc, p) == 1
 
 
+def _oracle_mul_many(a_digits: np.ndarray, b_digits, modulus, p: int) -> np.ndarray:
+    """oracle_mul on every row of an (n, e) digit array: schoolbook product
+    column by column, then long division by the monic modulus."""
+    e = len(modulus) - 1
+    prod = [np.zeros(len(a_digits), dtype=np.int64) for _ in range(2 * e - 1)]
+    for i in range(e):
+        for j, bj in enumerate(b_digits):
+            prod[i + j] += a_digits[:, i] * bj
+    for k in range(2 * e - 2, e - 1, -1):
+        coef = prod[k] % p
+        for t in range(e):
+            prod[k - e + t] -= coef * modulus[t]
+    return np.stack(prod[:e], axis=1) % p
+
+
 def test_exp_and_zech_across_block_and_chunk_boundaries():
     # q - 1 > 2^17, so doubling blocks span several 2^16-row chunks.  Check
-    # exp[k+1] = g * exp[k] around every power of two and every multiple of
-    # 2^16, log as the inverse of exp, and the whole Zech table against
-    # digitwise 1 + x.
+    # exp[k+1] = g * exp[k] for every k (scalar oracle around every power of
+    # two and every multiple of 2^16, the vectorised one on the whole table),
+    # log as the inverse of exp, and the whole Zech table against digitwise
+    # 1 + x.
     p, e = 3, 12
     table = build_field(p, e)
     qm1, mod = table.q - 1, table.params.modulus
@@ -276,6 +300,13 @@ def test_exp_and_zech_across_block_and_chunk_boundaries():
     for k in sorted({k for b in edges for k in (b - 2, b - 1, b) if 0 <= k < qm1}):
         step = oracle_mul(_digits(int(table.exp[k]), p, e), g_digits, mod, p)
         assert _code(step, p) == int(table.exp[(k + 1) % qm1]), k
+    pow_p = p ** np.arange(e, dtype=np.int64)
+    successor = np.roll(table.exp, -1)
+    for lo in range(0, qm1, 1 << 16):
+        digits = table.exp[lo : lo + (1 << 16), None] // pow_p % p
+        stepped = _oracle_mul_many(digits, g_digits, mod, p) @ pow_p
+        np.testing.assert_array_equal(stepped, successor[lo : lo + (1 << 16)],
+                                      err_msg=f"rows from {lo}")
     np.testing.assert_array_equal(table.log[table.exp], np.arange(qm1))
 
     digits = table.exp[:, None] // p ** np.arange(e) % p
