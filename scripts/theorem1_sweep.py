@@ -4,7 +4,8 @@ For n in 2..5 this covers all prime powers q <= (n-1)^2; n=6 is capped at
 q <= 13 by default (q = 17 needs a ~2.4e7-element field; pass --full-n6
 and a sufficient --cap to include it: --full-n6 --cap 30000000 takes about
 6 s with a 350 MB peak on a 2-core machine).  An empty violation and
-counterexample list supports dropping the threshold altogether.
+counterexample list speaks for this range only: past it, GP(5^8, 3) has the
+subfield F_5 inside a maximal clique of size 25.
 
 Every n's bounds are checked before the first sweep: an n whose fields reach
 the 2^31 table limit or pass --cap (--n-max 7, say) gets one "error:" line

@@ -56,11 +56,15 @@ class ExactBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GraphKind:
-    """Connection-set recipe: residue classes J inside Z_d."""
+    """Connection-set recipe: residue classes J inside Z_d.
+
+    The Peisert kind keeps J = {0, ..., d/2 - 1} as a range, so a case with
+    a large d holds no set of d/2 ints.
+    """
 
     name: str  # "paley" | "peisert" | "residue"
     d: int
-    j: frozenset[int]
+    j: frozenset[int] | range
 
     @staticmethod
     def paley(d: int) -> "GraphKind":
@@ -75,7 +79,7 @@ class GraphKind:
         if d == 2:
             # J = {0} either way; keep the canonical name.
             return GraphKind.paley(2)
-        return GraphKind("peisert", d, frozenset(range(d // 2)))
+        return GraphKind("peisert", d, range(d // 2))
 
     @staticmethod
     def residue_class(d: int, j: frozenset[int] | set[int]) -> "GraphKind":

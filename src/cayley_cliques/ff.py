@@ -50,37 +50,6 @@ class InvariantError(RuntimeError):
 # --------------------------------------------------------------------------
 # integer arithmetic
 
-# The first twelve primes.  As Miller-Rabin bases they decide primality
-# exactly below psi_12 = 318665857834031151167461 > 2^64 (Sorenson and
-# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
-# 2017); psi_12 itself passes all twelve.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: exact for n < 2^64, ValueError from there on."""
-    if n < 2:
-        return False
-    if n >= 1 << 64:
-        raise ValueError(f"primality of {n} is only decided below 2^64")
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    d = (n - 1) >> s
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def primerange(lo: int, hi: int) -> list[int]:
     """The primes in [lo, hi), ascending: a sieve of Eratosthenes up to hi."""
     lo = max(lo, 0)
@@ -94,63 +63,38 @@ def primerange(lo: int, hi: int) -> list[int]:
     return list(itertools.compress(range(lo, hi), sieve[lo:]))
 
 
-_TRIAL_LIMIT = 1 << 10
-_TRIAL_PRIMES = primerange(2, _TRIAL_LIMIT)
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard's rho with Brent's cycle search."""
-    for c in itertools.count(1):
-        y, r, prod, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    prod = prod * abs(x - y) % n
-                g = math.gcd(prod, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batched product hit 0 mod n: replay the batch step by step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:  # otherwise both factors closed their cycles together: next c
-            return g
-    raise RuntimeError("unreachable")
+# Every prime up to isqrt(MAX_FIELD - 1) = 46340: trial division by these
+# factors any m < 2^31 completely.
+_PRIMES = primerange(2, math.isqrt(MAX_FIELD - 1) + 1)
 
 
 def factorize(m: int) -> list[int]:
-    """Prime factorization of m with multiplicity, ascending.
+    """Prime factorization of 1 <= m < 2^31 with multiplicity, ascending.
 
     factorize(1) == []; factorize(15624) == [2, 2, 2, 3, 3, 7, 31].
-    Trial division by the primes below 2^10, then Pollard-Brent rho on any
-    composite cofactor.
+    Trial division by the primes up to sqrt(m); the cofactor left over is 1
+    or prime.  Arguments of MAX_FIELD = 2^31 or more raise CapExceeded, as
+    fields of that size do.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}: argument must be >= 1")
-    if m > 1 << 48:
-        raise CapExceeded(f"{m} exceeds the 2^48 factorization budget")
+    if m >= MAX_FIELD:
+        raise CapExceeded(f"{m} is not below 2^31, the limit of primality, factoring and tables")
     out: list[int] = []
-    for prime in _TRIAL_PRIMES:
+    for prime in _PRIMES:
+        if prime * prime > m:
+            break
         while m % prime == 0:
             out.append(prime)
             m //= prime
-    # Every prime factor left is >= 2^10, so a cofactor below 2^20 is prime.
-    pending = [m] if m > 1 else []
-    while pending:
-        n = pending.pop()
-        if n < _TRIAL_LIMIT**2 or is_prime(n):
-            out.append(n)
-        else:
-            f = _rho_factor(n)
-            pending += [f, n // f]
-    return sorted(out)
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality of n < 2^31 by trial division; CapExceeded from 2^31 on."""
+    return n >= 2 and factorize(n) == [n]
 
 
 def divisors(m: int) -> list[int]:

@@ -163,9 +163,12 @@ def test_criterion_7_subfield_clique_criterion_is_the_divisibility_rule():
 # ---------------------------------------------------------------------------
 # criterion 8 helpers: a table-free multiplication oracle
 
+# Every value below fits int32: codes and logs are below q <= 4096, products
+# of two codes below 2^24, and convolution sums below e * p^2 < 2^16.
+
 def _digit_matrix(q: int, p: int, e: int) -> np.ndarray:
-    codes = np.arange(q, dtype=np.int64)
-    out = np.empty((q, e), dtype=np.int64)
+    codes = np.arange(q, dtype=np.int32)
+    out = np.empty((q, e), dtype=np.int32)
     for i in range(e):
         codes, out[:, i] = np.divmod(codes, p)
     return out
@@ -173,8 +176,8 @@ def _digit_matrix(q: int, p: int, e: int) -> np.ndarray:
 
 def _reduction_rows(p: int, e: int, modulus) -> np.ndarray:
     # digit vectors of x^(e+k) mod modulus for k = 0..e-2
-    rows = np.zeros((e - 1, e), dtype=np.int64)
-    cur = np.array([(-c) % p for c in modulus[:e]], dtype=np.int64)
+    rows = np.zeros((e - 1, e), dtype=np.int32)
+    cur = np.array([(-c) % p for c in modulus[:e]], dtype=np.int32)
     rows[0] = cur
     for k in range(1, e - 1):
         shifted = np.concatenate(([0], cur[:-1]))
@@ -185,19 +188,21 @@ def _reduction_rows(p: int, e: int, modulus) -> np.ndarray:
 
 def _assert_all_products_match(table, block: int = 96) -> None:
     p, e, q = table.p, table.e, table.q
-    log = table.log.astype(np.int64)
-    exp = table.exp.astype(np.int64)
+    log = table.log
+    # log a + log b < 2(q - 1), so exp read twice over needs no reduction mod q - 1
+    exp_twice = np.concatenate([table.exp, table.exp])
+    codes = np.arange(q, dtype=np.int32)
     digits = _digit_matrix(q, p, e)
     reduction = _reduction_rows(p, e, table.params.modulus) if e > 1 else None
-    pow_p = np.array([p**i for i in range(e)], dtype=np.int64)
+    pow_p = np.array([p**i for i in range(e)], dtype=np.int32)
     rng = np.random.default_rng(q)
     for start in range(0, q, block):
-        a = np.arange(start, min(start + block, q))
+        a = codes[start:start + block]
         if e == 1:
-            expected = (a[:, None] * np.arange(q)[None, :]) % p
+            expected = a[:, None] * codes % p
         else:
             da = digits[a]
-            conv = np.zeros((len(a), q, 2 * e - 1), dtype=np.int64)
+            conv = np.zeros((len(a), q, 2 * e - 1), dtype=np.int32)
             for i in range(e):
                 conv[:, :, i:i + e] += da[:, i][:, None, None] * digits[None, :, :]
             conv %= p
@@ -206,13 +211,14 @@ def _assert_all_products_match(table, block: int = 96) -> None:
                 res += conv[:, :, e + k][:, :, None] * reduction[k][None, None, :]
             res %= p
             expected = res @ pow_p
-        produced = exp[(log[a][:, None] + log[None, :]) % (q - 1)]
+        # log[0] = -1 reads some code here; those rows and columns are set below
+        produced = np.take(exp_twice, log[a][:, None] + log)
         produced[a == 0, :] = 0
         produced[:, 0] = 0
         assert np.array_equal(produced, expected), f"GF({p}^{e}) rows {a[0]}..{a[-1]}"
     # tie the vectorized gather to the public scalar entry point
     for x, y in rng.integers(0, q, size=(50, 2)):
-        psi = int(exp[(log[x] + log[y]) % (q - 1)]) if x and y else 0
+        psi = int(table.exp[(log[x] + log[y]) % (q - 1)]) if x and y else 0
         assert table.mul(int(x), int(y)) == psi
 
 

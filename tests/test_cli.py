@@ -193,6 +193,22 @@ def test_field_of_2_to_the_31_elements_exits_2_whatever_the_cap(capsys, monkeypa
     assert code == 2 and "2^31" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "2147483659", "--s", "1"],  # a prime past 2^31
+    ["conjecture", "--p", "13", "--s", "9", "--d", "2"],  # q = 13^9 > 2^31
+])
+def test_arguments_past_2_to_the_31_exit_2_with_one_error_line(argv):
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "cayley_cliques.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "2^31" in lines[0], lines
+
+
 def test_sweep_beyond_2_to_the_31_exits_2_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(verify, "primerange", None)  # enumerating would raise, not exit 2
     code, _, err = run(capsys, "sweep", "--max-order", str(2**31), "--cap", str(2**32))
