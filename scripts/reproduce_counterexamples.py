@@ -5,10 +5,12 @@ a maximal clique of size 9; F_5 does the same in GP*(15625,62) with size
 25.  Both live below every sufficient-condition threshold, which is the
 only regime where this can happen.
 
-Each counterexample line also gives the witness pool W (the common
-neighbours of the subfield F) and its number of orbits under the maps
-x -> ux + f with u in <g^L> and f in F, which the exact extension
-searches one orbit at a time.
+Each counterexample line also gives the size of the witness pool W (the
+common neighbours of the subfield F), the order of the group G of maps
+x -> ux + f with u in <g^L> and f in F, the set K of Frobenius powers
+x -> x^(p^k) that fix the connection set, and the number of orbits of W
+under the semilinear group they generate, as the exact extension finds
+them: it runs one rooted subproblem per orbit.
 """
 
 import argparse
@@ -16,7 +18,10 @@ import math
 import sys
 import time
 
-from cayley_cliques import SweepConfig, find_counterexamples, make_case, verify_case
+import numpy as np
+
+from cayley_cliques import (SweepConfig, build_field, find_counterexamples, make_case,
+                            make_graph, verify_case)
 
 PINNED = [
     ((3, 1, 4, 4), 9),
@@ -43,14 +48,21 @@ def main() -> int:
 
     print(f"\nsweeping all Peisert cases with order <= {args.max_order} ...")
     found = find_counterexamples(SweepConfig(max_order=args.max_order, kinds=("peisert",)))
+    table = None
     for r in found:
         c = r.case
+        if table is None or (table.p, table.e) != (c.p, c.s * c.n):
+            table = build_field(c.p, c.s * c.n)
+        graph = make_graph(table, c.kind)
+        base = list(table.subfield_elements(c.s))
+        orbits = graph._pool_orbits(base, np.array(r.witnesses, dtype=np.int64))
         step = (c.order - 1) // (c.q - 1)
         group = c.q * (c.order - 1) // math.lcm(step, c.d)
-        pool = len(r.witnesses)
+        ks = ",".join(map(str, graph._frobenius_powers()))
         print(f"  p={c.p} s={c.s} n={c.n} d={c.d}: subfield F_{c.q} sits in a "
               f"maximal clique of size {r.extended_clique_size} ({r.regime.name}); "
-              f"pool {pool} = {pool // group} orbits of {group}")
+              f"pool {len(r.witnesses)}, |G| = {group}, K = {{{ks}}}: "
+              f"{len(orbits)} semilinear orbits")
     bad = [r for r in found if r.verdict == "VIOLATION"]
     print(f"{len(found)} counterexamples, {len(bad)} violations")
     return 1 if bad else 0

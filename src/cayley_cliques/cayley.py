@@ -17,11 +17,16 @@ subgraphs only.
 The exact extension of a subfield F uses the graph's symmetry.  The maps
 x -> ux + f with f in F and u in the units of F that lie in class 0 mod d
 fix F and S, so they permute the witness pool W (the common neighbors of
-F), and they act on it without fixed points.  Every maximum clique of W
-can be moved onto one through the smallest member of an orbit, avoiding
-all earlier orbits; so the search runs one rooted subproblem per orbit
-(vertex-rooted branch and bound, as in Tomita et al., J. Global Optim.
-2010), each only asked to beat the best size so far.
+F), and they act on it without fixed points.  The Frobenius maps
+x -> x^(p^k) fix F, and they fix S whenever p^k J = J (mod d), which for
+the Paley kind is every k.  Together they form a semilinear group G'
+inside AGammaL(1, q), which by Lim and Praeger (Michigan Math. J. 2009)
+holds the automorphisms of generalized Paley graphs in most cases; its
+orbits on W need not be free.  Every maximum clique of W can be moved
+onto one through the smallest member of an orbit, avoiding all earlier
+orbits; so the search runs one rooted subproblem per orbit (vertex-rooted
+branch and bound, as in Tomita et al., J. Global Optim. 2010), each only
+asked to beat the best size so far.
 """
 
 from __future__ import annotations
@@ -287,11 +292,11 @@ class CayleyGraph:
         """Base plus a maximum clique of its witness pool W.
 
         When the base is a subfield F, the maximum clique size comes from one
-        rooted subproblem per orbit of W under x -> ux + f (see _pool_orbits);
-        otherwise from one search over all of W.  Either way the clique
-        returned is the one a single search of W seeded with the greedy
-        extension returns: the seed when nothing beats it, else the first
-        clique of the optimum size that search meets.
+        rooted subproblem per orbit of W under x -> u x^(p^k) + f (see
+        _pool_orbits); otherwise from one search over all of W.  Either way
+        the clique returned is the one a single search of W seeded with the
+        greedy extension returns: the seed when nothing beats it, else the
+        first clique of the optimum size that search meets.
         """
         pool = self.common_neighbors(base)
         if len(pool) > exact_budget:
@@ -325,16 +330,39 @@ class CayleyGraph:
         chosen = [pool[i] for i in _bits(best)]
         return sorted(base + chosen)
 
+    def _frobenius_powers(self) -> list[int]:
+        """The k < E for which x -> x^(p^k) maps S onto S, ascending.
+
+        x^(p^k) has class p^k * (log x) mod d, and multiplying by p^k
+        permutes Z_d (d divides q - 1 = p^E - 1), so S is fixed exactly
+        when p^k J = J (mod d): for every class c, c and p^k c lie both in
+        J or both outside it.  One set test for every kind; Paley gets all
+        of Z_E.  These k form a subgroup of Z_E, as p^E = 1 (mod d).
+        """
+        classes = np.arange(self.d, dtype=np.int64)
+        p, lut = self.table.p, self._j_lut
+        return [k for k in range(self.table.e)
+                if np.array_equal(lut[classes * pow(p, k, self.d) % self.d], lut)]
+
     def _pool_orbits(self, base: list[Element], vertices: np.ndarray) -> list[np.ndarray] | None:
-        """Orbits of the witness pool under G = <g^L> x| F, or None if base is no subfield.
+        """Orbits of the witness pool under the semilinear group G', or None if base is no subfield.
 
         For base = F_{p^r}, step = (q-1)/(p^r-1) and L = lcm(step, d): g^L
-        lies in F* and in class 0 mod d, so x -> ux + f (u in <g^L>, f in F)
-        fixes F and S and maps the pool onto itself.  With u != 1 it fixes
-        only a point of F, which the pool avoids, so G acts freely and every
-        orbit has |G| elements.  Orbits are pool-index arrays, ordered by
-        their smallest member, which comes first.  An image outside the pool,
-        or inside an earlier orbit, raises InvariantError.
+        lies in F* and in class 0 mod d, so G = {x -> ux + f : u in <g^L>,
+        f in F} fixes F and S and maps the pool onto itself.  With u != 1 it
+        fixes only a point of F, which the pool avoids, so G acts freely:
+        the pool splits into slices G w of |G| elements each, read in the
+        log domain as exp[(log w + multiples of L) mod (q-1)] + f.  The
+        Frobenius maps x -> x^(p^k), k in K (see _frobenius_powers), fix F
+        and S too and normalise G, so each maps every slice onto a whole
+        slice.  An orbit of G' = {x -> u x^(p^k) + f : k in K} is the union
+        of the slices it permutes: |G| times a divisor of |K| elements, not
+        always a free orbit.  Orbits are pool-index arrays, ordered by their
+        smallest member, which comes first.
+
+        A slice image outside the pool, inside an earlier slice or with
+        repeats, a slice that misses its own witness, and a Frobenius image
+        that leaves the pool or splits a slice raise InvariantError.
         """
         t = self.table
         r = self._subfield_within(base)
@@ -342,36 +370,68 @@ class CayleyGraph:
             return None
         shifts = np.arange(0, t.qm1, math.lcm(t.subfield_step(r), self.d))
         n = len(vertices)
-        orbit_of = np.full(n, -1, dtype=np.int64)
-        orbits = []
+        slice_of = np.full(n, -1, dtype=np.int64)
+        roots = []
         for i in range(n):
-            if orbit_of[i] >= 0:
+            if slice_of[i] >= 0:
                 continue
             scaled = t.exp[(int(t.log[vertices[i]]) + shifts) % t.qm1]
             images = np.concatenate([t.add_many(scaled, f) for f in base])
             at = np.searchsorted(vertices, images).clip(max=n - 1)
             if (
                 not np.array_equal(vertices[at], images)
-                or (orbit_of[at] >= 0).any()
+                or (slice_of[at] >= 0).any()
                 or np.unique(at).size != at.size
+                or i not in at
             ):
                 raise InvariantError(
                     f"x -> ux + f over F_{{{t.p}^{r}}} does not map the orbit of witness "
                     f"{int(vertices[i])} onto {images.size} free pool elements: corrupt tables"
                 )
-            orbit_of[at] = len(orbits)
-            orbits.append(np.sort(at))
-        return orbits
+            slice_of[at] = len(roots)
+            roots.append(i)
+        # perms[k][s]: the slice that x -> x^(p^k) maps slice s onto.
+        logs = t.log[vertices].astype(np.int64)
+        perms = []
+        for k in self._frobenius_powers():
+            images = t.exp[logs * pow(t.p, k, t.qm1) % t.qm1]
+            at = np.searchsorted(vertices, images).clip(max=n - 1)
+            if not np.array_equal(vertices[at], images) or np.unique(at).size != n:
+                raise InvariantError(
+                    f"x -> x^({t.p}^{k}) does not permute the witness pool: corrupt tables"
+                )
+            target = slice_of[at]
+            moved = target[roots]
+            split = np.flatnonzero(target != moved[slice_of])
+            if split.size:
+                w = int(vertices[roots[slice_of[split[0]]]])
+                raise InvariantError(
+                    f"x -> x^({t.p}^{k}) splits the slice of witness {w} over F_{{{t.p}^{r}}}: "
+                    "corrupt tables"
+                )
+            perms.append(moved)
+        # Label each slice by the first slice it can be moved onto; K is a
+        # group, so the labelled classes must be closed under every map.
+        perms = np.array(perms)
+        label = perms.min(axis=0)
+        if (label[perms] != label).any():
+            raise InvariantError(
+                f"x -> x^(p^k) over F_{{{t.p}^{r}}} does not permute the slices as a group: corrupt tables"
+            )
+        return [np.flatnonzero(label[slice_of] == s) for s in range(len(roots)) if label[s] == s]
 
     @staticmethod
     def _orbit_clique_size(adjacency: np.ndarray, orbits: list[np.ndarray], lower: int) -> int:
         """Clique number of the pool, given a clique of `lower` vertices.
 
+        The orbits are those of a group of graph automorphisms that maps
+        the pool onto itself; only that invariance is used, not freeness.
         A maximum clique C meets a first orbit O_i; a group element moves
-        C onto a clique through O_i's smallest member w_i that avoids
-        O_1, ..., O_{i-1}.  So the answer is the largest 1 + omega of
-        N(w_i) minus the earlier orbits, and each subproblem only has to
-        beat the best size so far.
+        C onto a clique through O_i's smallest member w_i, and since it
+        maps each orbit onto itself the image still avoids O_1, ...,
+        O_{i-1}.  So the answer is the largest 1 + omega of N(w_i) minus
+        the earlier orbits, and each subproblem only has to beat the best
+        size so far.
         """
         best = lower
         free = np.ones(len(adjacency), dtype=bool)  # outside finished orbits
@@ -494,7 +554,11 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
     pivot rule strengthened to a greedy coloring: candidates expand in
     color order and a branch is cut when R plus its color bound cannot
     beat the incumbent.  Vertices are relabeled in degeneracy order first,
-    which keeps the colorings tight.
+    which keeps the colorings tight.  Color classes numbered at most
+    best - |R| are colored but never listed, since no later gain of the
+    incumbent can let them pass the cut (the "kmin" of San Segundo's
+    bitset BBMC, 2011); the nodes visited, and their order, are those of
+    a search that lists them.
 
     bound is a clique size known to be reachable: only larger cliques are
     sought, and 0 comes back when there is none.  The incumbent changes
@@ -516,6 +580,10 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
     def expand(r_mask: int, r_size: int, p_mask: int) -> None:
         nonlocal best_mask, best_size
         # Greedy coloring of the candidates; color = clique-size upper bound.
+        # best_size only grows, so a vertex colored <= kmin fails the bound
+        # check below whenever it is reached: those classes are colored but
+        # not listed.
+        kmin = best_size - r_size
         order_v: list[int] = []
         bound_v: list[int] = []
         color = 0
@@ -523,6 +591,12 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
         while rem:
             color += 1
             avail = rem
+            if color <= kmin:
+                while avail:
+                    low = avail & -avail
+                    avail &= ~(relabeled[low.bit_length() - 1] | low)
+                    rem ^= low
+                continue
             while avail:
                 low = avail & -avail
                 v = low.bit_length() - 1

@@ -32,7 +32,7 @@ from cayley_cliques import (
     make_graph,
     maximum_clique,
 )
-from cayley_cliques.cayley import _degeneracy_order, _row_masks, _unpack_masks
+from cayley_cliques.cayley import _bits, _degeneracy_order, _row_masks, _unpack_masks
 
 # ---------------------------------------------------------------------------
 # kinds
@@ -450,17 +450,63 @@ def test_orbit_extension_matches_the_whole_pool_search(graphs, p, e, r, kind):
     assert report.clique == _reference_extension(graph, base)
 
 
+def _brute_force_frobenius_powers(graph) -> list[int]:
+    """The k < E for which x -> x^(p^k) maps every element of S into S."""
+    t = graph.table
+    members = [int(x) for x in graph.connection_set()]
+    return [k for k in range(t.e)
+            if all(graph.in_connection_set(t.pow(x, t.p**k)) for x in members)]
+
+
 @pytest.mark.parametrize("p,e,r,kind", ORBIT_CASES, ids=_case_id)
 def test_pool_orbits_partition_the_pool_into_free_orbits(graphs, p, e, r, kind):
+    """Each orbit is a union of free <g^L> x| F orbits, permuted by Frobenius.
+
+    Images are computed here with scalar table arithmetic, and K by brute
+    force over S, so neither relies on the log-domain code under test.
+    """
     graph = graphs(p, e, kind)
-    base = list(graph.table.subfield_elements(r))
+    t = graph.table
+    base = list(t.subfield_elements(r))
     pool = np.array(graph.common_neighbors(base), dtype=np.int64)
     orbits = graph._pool_orbits(base, pool)
-    step = graph.table.subfield_step(r)
-    group_order = graph.table.qm1 // math.lcm(step, kind.d) * p**r
-    assert all(len(orbit) == group_order for orbit in orbits)
+    period = math.lcm(t.subfield_step(r), kind.d)
+    units = [t.pow(t.g, period * j) for j in range(t.qm1 // period)]
+    group_order = len(units) * p**r
+    ks = _brute_force_frobenius_powers(graph)
     assert sorted(np.concatenate(orbits).tolist()) == list(range(len(pool)))
-    assert [int(orbit[0]) for orbit in orbits] == sorted(int(o.min()) for o in orbits)
+    assert all(int(orbit[0]) == int(orbit.min()) for orbit in orbits)
+    assert [int(orbit[0]) for orbit in orbits] == sorted(int(orbit[0]) for orbit in orbits)
+    for orbit in orbits:
+        assert len(orbit) % group_order == 0
+        assert group_order * len(ks) % len(orbit) == 0
+        members = {int(pool[i]) for i in orbit}
+        for x in members:
+            affine = {t.add(t.mul(u, x), f) for u in units for f in base}
+            assert len(affine) == group_order  # free
+            assert affine <= members
+            assert {t.pow(x, p**k) for k in ks} <= members
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 4), (3, 6)])
+def test_frobenius_powers_match_a_brute_force_scan(graphs, p, e):
+    """k is in K exactly when x -> x^(p^k) maps S into S, for every kind."""
+    rng = random.Random(p * 100 + e)
+    qm1 = p**e - 1
+    kinds = []
+    for d in sympy.divisors(qm1 // 2):
+        if d > 1:
+            kinds.append(GraphKind.paley(d))
+        if d % 2 == 0:
+            kinds.append(GraphKind.peisert(d))
+        if d > 2:
+            j = {c for c in range(d) if rng.random() < 0.4} or {rng.randrange(d)}
+            kinds.append(GraphKind.residue_class(d, j))
+    for kind in kinds:
+        graph = graphs(p, e, kind)
+        assert graph._frobenius_powers() == _brute_force_frobenius_powers(graph), kind
+        if kind.name == "paley":
+            assert graph._frobenius_powers() == list(range(e))
 
 
 def test_non_subfield_base_takes_the_whole_pool_search(gpstar81_4):
@@ -496,6 +542,23 @@ def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81, monkeypatch):
     monkeypatch.setattr(gf81, "log", log)
     with pytest.raises(InvariantError, match="orbit of witness 12"):
         graph.extend_to_maximal_clique((0, 1, 2), "exact")
+
+
+def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81, monkeypatch):
+    # In GP*(81,4) the pool is two <g^L> x| F slices, {9,10,11,18,19,20}
+    # and {12,13,14,24,25,26}, which x -> x^9 swaps.  Swapping the logs of
+    # 10 and 13 (neither read by the slice scan, which only takes the logs
+    # of its witnesses 9 and 12 and their multiples by <g^L> = {1, -1})
+    # keeps x^9 a permutation of the pool but splits both slices.
+    graph = make_graph(gf81, GraphKind.peisert(4))
+    base = [0, 1, 2]
+    pool = np.array(graph.common_neighbors(base), dtype=np.int64)
+    assert len(graph._pool_orbits(base, pool)) == 1
+    log = gf81.log.copy()
+    log[[10, 13]] = log[[13, 10]]
+    monkeypatch.setattr(gf81, "log", log)
+    with pytest.raises(InvariantError, match="splits the slice of witness 9"):
+        graph._pool_orbits(base, pool)
 
 
 def test_orbit_invariance_check_survives_optimize():
@@ -556,6 +619,84 @@ def test_degeneracy_order_matches_the_reference():
         adjacency = _unpack_masks(neighbors)
         assert _row_masks(adjacency) == neighbors
         assert _degeneracy_order(adjacency) == _reference_degeneracy_order(neighbors)
+
+
+def _uncut_maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = None) -> int:
+    """maximum_clique as it was before the colour-class cut, kept verbatim:
+    every colour class is listed, and the bound check stops the loop."""
+    n = len(neighbors)
+    if n == 0:
+        return 0
+    adjacency = _unpack_masks(neighbors)
+    order = _degeneracy_order(adjacency)
+    order.reverse()  # densest core gets the low labels
+    relabeled = _row_masks(adjacency[np.ix_(order, order)])
+
+    best_mask = 0
+    best_size = bound
+
+    def expand(r_mask: int, r_size: int, p_mask: int) -> None:
+        nonlocal best_mask, best_size
+        # Greedy coloring of the candidates; color = clique-size upper bound.
+        order_v: list[int] = []
+        bound_v: list[int] = []
+        color = 0
+        rem = p_mask
+        while rem:
+            color += 1
+            avail = rem
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                order_v.append(v)
+                bound_v.append(color)
+                avail &= ~(relabeled[v] | low)
+                rem ^= low
+        for i in range(len(order_v) - 1, -1, -1):
+            if r_size + bound_v[i] <= best_size:
+                return
+            v = order_v[i]
+            vbit = 1 << v
+            new_p = p_mask & relabeled[v]
+            if new_p:
+                expand(r_mask | vbit, r_size + 1, new_p)
+            elif r_size + 1 > best_size:
+                best_mask, best_size = r_mask | vbit, r_size + 1
+                if stop_at is not None and best_size >= stop_at:
+                    # No branch can beat n vertices: every open frame
+                    # returns at its next bound check.
+                    best_size = n
+            p_mask ^= vbit
+
+    expand(0, 0, (1 << n) - 1)
+    # map back to the original labels
+    out = 0
+    for i in _bits(best_mask):
+        out |= 1 << order[i]
+    return out
+
+
+def test_colour_class_cut_leaves_the_search_unchanged(graphs):
+    """Same mask as the uncut search, so the same first optimum-size clique,
+    for seeded bounds below, at and above the clique number, with and
+    without stop_at."""
+    rng = random.Random(61)
+    cases = [neighbors for _, neighbors in corpus()]
+    for p, e, r, kind in ORBIT_CASES:
+        if (p, e) == (3, 6):
+            graph = graphs(p, e, kind)
+            pool = np.array(graph.common_neighbors(graph.table.subfield_elements(r)), dtype=np.int64)
+            cases.append(_row_masks(graph._induced_adjacency(pool)))
+    for neighbors in cases:
+        omega = maximum_clique(neighbors).bit_count()
+        assert _uncut_maximum_clique(neighbors).bit_count() == omega
+        runs = [(0, None), (max(omega - 1, 0), None), (omega, None)]
+        for _ in range(4):
+            bound = rng.randrange(omega + 1)
+            runs.append((bound, rng.choice([None, rng.randint(bound + 1, omega + 1)])))
+        for bound, stop_at in runs:
+            assert (maximum_clique(neighbors, bound, stop_at)
+                    == _uncut_maximum_clique(neighbors, bound, stop_at)), (bound, stop_at)
 
 
 def test_maximum_clique_result_is_a_clique():

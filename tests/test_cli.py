@@ -228,6 +228,19 @@ def test_theorem1_sweep_past_the_table_limit_exits_2_before_sweeping():
     assert done.stderr.startswith("error: ") and "2^31" in done.stderr
 
 
+def test_reproduce_counterexamples_script_to_2500():
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "reproduce_counterexamples.py"),
+                           "--max-order", "2500"], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "16 counterexamples, 0 violations"
+    assert sum(line.endswith("semilinear orbits") for line in lines) == 16
+    assert "p=3 s=1 n=4 d=4: subfield F_3 sits in a maximal clique of size 9" in done.stdout
+
+
 def test_sweep_workers_flag_is_gone(capsys):
     code, _, err = run(capsys, "sweep", "--max-order", "100", "--workers", "2")
     assert code == 2 and "--workers" in err
