@@ -193,51 +193,90 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 def _smallest_generator(p: int, e: int, q: int, modulus: tuple[int, ...]) -> int:
-    one = [1] + [0] * (e - 1)
-    prime_factors = sorted(set(factorize(q - 1)))
-    # Codes below p are the constants F_p*, whose orders divide p - 1 < q - 1.
-    for code in range(2 if e == 1 else p, q):
-        a = _decode(code, p, e)
-        if all(_poly_pow_mod(a, (q - 1) // ell, modulus, p) != one for ell in prime_factors):
-            return code
+    """The smallest code of order q - 1: the first c with c^((q-1)/l) != 1
+    for every prime l | q - 1.
+
+    Codes below p are the constants F_p*, whose orders divide p - 1 < q - 1,
+    so extension fields start at p.  Candidates are tested in stacked
+    batches of 8, 16, 32, ... codes, each by its multiplication matrix M(c)
+    (see _mul_matrices): the squares M(c)^(2^j) are formed once and shared
+    by every exponent (q-1)/l, which multiplies the digit row of 1 by the
+    squares its binary digits select.  int64 stays exact: entries are
+    reduced below p, so every sum is at most e * (p-1)^2 < 2^63 for q < 2^31.
+    """
+    exponents = [(q - 1) // ell for ell in sorted(set(factorize(q - 1)))]
+    bits = np.array([[k >> j & 1 for k in exponents] for j in range(max(exponents).bit_length())],
+                    dtype=bool)  # bits[j, l]: bit j of exponent l
+    one = np.eye(1, e, dtype=np.int64)[0]  # digits of 1
+    lo, batch = (2 if e == 1 else p), 8
+    while lo < q:
+        codes = np.arange(lo, min(lo + batch, q), dtype=np.int64)
+        square = _mul_matrices(codes, p, modulus)  # M(c)^(2^j) for the current j
+        power = np.tile(one, (len(codes), len(exponents), 1))  # digits of c^(k mod 2^j)
+        for j, selected in enumerate(bits):
+            if j:
+                square = square @ square % p
+            if selected.any():
+                power[:, selected] = power[:, selected] @ square % p
+        found = np.flatnonzero((power != one).any(axis=2).all(axis=1))
+        if found.size:
+            return int(codes[found[0]])
+        lo, batch = lo + batch, 2 * batch
     raise RuntimeError(f"no generator found for GF({p}^{e})")  # unreachable
 
 
 # --------------------------------------------------------------------------
 # table construction
 
-_CHUNK = 1 << 16  # rows per vectorized pass; bounds the transients
+_CHUNK = 1 << 16  # elements per vectorized pass; bounds the transients
+
+
+def _mul_matrices(codes: np.ndarray, p: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """M(c) for every code c, stacked as an (n, e, e) int64 array.
+
+    Row i of M(c) holds the digits of c * x^i mod f, so digits(a) @ M(c)
+    gives the digits of a * c and M(a * b) = M(a) @ M(b), all mod p.  Rows
+    follow from the companion shift, the matrix of multiplication by x.
+    """
+    e = len(modulus) - 1
+    shift = np.eye(e, k=1, dtype=np.int64)
+    shift[-1] = [(-c) % p for c in modulus[:e]]
+    rows = [codes[:, None] // p ** np.arange(e, dtype=np.int64) % p]
+    for _ in range(e - 1):
+        rows.append(rows[-1] @ shift % p)
+    return np.stack(rows, axis=1)
 
 
 def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
     """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1, as int32.
 
     Doubling: once g^0..g^(m-1) are known, the next block is the first one
-    scaled by b = g^m, an F_p-linear map: the e x e matrix M(b) whose row i
-    holds the digits of b * x^i mod f.  M(g) comes from the companion shift,
-    and each round squares it: M(b^2) = M(b)^2.  Chunks of 2^16 rows are
-    decoded digit-major, D[i] = exp // p^i % p, and scaled as sum_i M[i] D[i]
-    in the smallest unsigned type holding its bound e * (p-1)^2 (uint8 for
-    GF(3^12)).  One reduction mod p follows, then a Horner encoding in int32,
-    every partial value below q < MAX_FIELD.  Remainders are x - (x // p) * p:
-    numpy divides by a scalar with a multiply and shift, but not in `%`.
+    scaled by b = g^m, an F_p-linear map: the multiplication matrix M(b)
+    (see _mul_matrices).  Each round squares it: M(b^2) = M(b)^2.  Chunks
+    are decoded digit-major, D[i] = exp // p^i % p, and scaled as
+    sum_i M[i] D[i] in the smallest unsigned type holding its bound
+    e * (p-1)^2 (uint8 for GF(3^12)).  One reduction mod p follows, then a
+    Horner encoding in int32, every partial value below q < MAX_FIELD.
+    Remainders are x - (x // p) * p: numpy divides by a scalar with a
+    multiply and shift, but not in `%`.
+
+    A chunk holds _CHUNK // e rows, so its (e + 1) x rows quotients and
+    e x rows digits stay near _CHUNK entries whatever e: 2^16 rows of
+    GF(3^12) would need 3.4 MB of int32 quotients alone, more than a
+    core's L2 cache, and every decode pass would stream from memory.
     """
     pow_p = p ** np.arange(e + 1, dtype=np.int32)  # p^e = q < MAX_FIELD
     acc_t = np.min_scalar_type(e * (p - 1) ** 2)
-    shift = np.eye(e, k=1, dtype=np.int64)  # multiplication by x
-    shift[-1] = [(-c) % p for c in modulus[:e]]
-    rows = [np.array(_decode(g, p, e), dtype=np.int64)]
-    for _ in range(e - 1):
-        rows.append(rows[-1] @ shift % p)
-    scale = np.array(rows)  # M(g^m) for the current m
+    scale = _mul_matrices(np.array([g], dtype=np.int64), p, modulus)[0]  # M(g^m), m = 1
+    rows = _CHUNK // e
     exp = np.empty(q - 1, dtype=np.int32)
     exp[0] = 1
     m = 1
     while m < q - 1:
         take = min(m, q - 1 - m)
         coef = scale.astype(acc_t)[:, :, None]  # coef[i] scales row i of D
-        for lo in range(0, take, _CHUNK):
-            hi = min(lo + _CHUNK, take)
+        for lo in range(0, take, rows):
+            hi = min(lo + rows, take)
             quot = exp[lo:hi] // pow_p[:, None]
             digits = (quot[:-1] - quot[1:] * p).astype(acc_t)
             acc = coef[0] * digits[0]
@@ -305,12 +344,21 @@ class FieldTable:
 
     @cached_property
     def zech(self) -> np.ndarray:
-        # 1 + x only bumps the constant digit of x's code, wrapping p - 1 to 0.
+        """zech[k] = log(1 + g^k), built in chunks on first use.
+
+        1 + x only bumps the constant digit of x's code, wrapping p - 1 to
+        0: the codes y = x + 1 with y mod p == 0 lose p again.  The
+        remainder is taken as y - (y // p) * p, as in _build_exp: numpy
+        divides by a scalar with a multiply and shift, but not in `%`.  The
+        wrap subtracts p times the 0/1 mask rather than through it, and the
+        lookup writes into zech directly: no masked scatter, no copy.
+        """
+        p = self.p
         zech = np.empty(self.qm1, dtype=np.int32)
         for lo in range(0, self.qm1, _CHUNK):
             plus_one = self.exp[lo : lo + _CHUNK] + 1
-            plus_one[plus_one % self.p == 0] -= self.p
-            zech[lo : lo + _CHUNK] = self.log[plus_one]
+            plus_one -= p * (plus_one - plus_one // p * p == 0)
+            np.take(self.log, plus_one, out=zech[lo : lo + _CHUNK])
         zech.setflags(write=False)
         return zech
 

@@ -12,6 +12,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod, gf_strip
 
 from cayley_cliques import ff, verify
 from cayley_cliques.cayley import CLIQUE_REPORT_SCHEMA, GRAPH_SCHEMA, CayleyGraph
@@ -58,6 +60,36 @@ def test_verify_text_format_carries_the_verdict(capsys):
                        "--d", "4", "--kind", "peisert", "--format", "text")
     assert code == 0
     assert "verdict: counterexample_below_threshold" in out
+
+
+def test_verify_reports_the_paley_counterexample_gp_5_8_3(capsys):
+    code, out, _ = run(capsys, "verify", "--p", "5", "--s", "1", "--n", "8",
+                       "--d", "3", "--kind", "paley")
+    doc = json.loads(out)
+    jsonschema.validate(doc, THEOREM_REPORT_SCHEMA)
+    assert code == 0
+    assert doc["verdict"] == "counterexample_below_threshold"
+    assert len(doc["witnesses"]) == 960 and 5000 in doc["witnesses"]
+    assert doc["extended_clique_size"] == 25
+    assert doc["extension_method"] == "exact"
+
+
+def test_gp_5_8_3_extension_by_a_table_free_oracle():
+    """With galoistools on the package's modulus, w = code 5000 is adjacent
+    to all of F_5 (w - a is a cube) and F_5 + F_5 w is a clique of 25."""
+    p, e = 5, 8
+    f = list(reversed(ff._smallest_irreducible(p, e)))
+    cube_exponent = (p**e - 1) // 3
+
+    def is_cube(digits):  # digits low first, not all zero
+        return gf_pow_mod(gf_strip(digits[::-1]), cube_exponent, f, p, ZZ) == [1]
+
+    w = [5000 // p**i % p for i in range(e)]
+    assert w == [0, 0, 0, 0, 3, 1, 0, 0]
+    assert all(is_cube([(w[0] - a) % p] + w[1:]) for a in range(p))
+    span = [[(a + b * w[0]) % p] + [b * c % p for c in w[1:]] for a in range(p) for b in range(p)]
+    assert all(is_cube(x) for x in span if any(x))
+    assert sum(any(x) for x in span) == 24
 
 
 def test_even_characteristic_is_a_usage_error(capsys):

@@ -9,6 +9,7 @@ factoring, divisors, Ben-Or irreducibility) is checked against sympy.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -23,7 +24,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from cayley_cliques import ff
 from cayley_cliques.ff import (
@@ -251,6 +252,31 @@ def test_generator_is_smallest_by_code(p, e):
     assert order == q - 1
 
 
+def _is_generator_by_sympy(code: int, p: int, e: int, f: list[int], exponents: list[int]) -> bool:
+    a = gf_strip(list(reversed(_digits(code, p, e))))
+    return all(gf_pow_mod(a, k, f, p, ZZ) != [1] for k in exponents)
+
+
+def test_generator_is_the_first_code_of_full_order_by_a_sympy_oracle():
+    """Every GF(p^e) with e >= 2 and q <= 2^20, and one seeded prime field
+    per bit length up to 2^24: g is the first code from p (2 for e = 1)
+    whose powers to every (q-1)/l, l a prime factor of q - 1, are not 1,
+    computed with galoistools on the field's own modulus."""
+    rng = random.Random(20261019)
+    fields = [(p, e) for p in sympy.primerange(3, 2**10 + 1)
+              for e in range(2, 20) if p**e <= 2**20]
+    fields += [(sympy.prevprime(rng.randrange(2 ** (bits - 1) + 1, 2**bits)), 1)
+               for bits in range(3, 25)]
+    for p, e in fields:
+        table = build_field(p, e)
+        q, f = table.q, list(reversed(table.params.modulus))
+        exponents = [(q - 1) // ell for ell in sympy.primefactors(q - 1)]
+        for code in range(2 if e == 1 else p, table.g):
+            assert not _is_generator_by_sympy(code, p, e, f, exponents), (p, e, code)
+        assert _is_generator_by_sympy(table.g, p, e, f, exponents), (p, e)
+    assert len(fields) == 223 + 22
+
+
 def test_frozen_generators(gf13, gf9, gf81):
     assert gf13.g == 2
     assert gf9.g == 4
@@ -312,16 +338,19 @@ def _oracle_mul_many(a_digits: np.ndarray, b_digits, modulus, p: int) -> np.ndar
 
 
 def test_exp_and_zech_across_block_and_chunk_boundaries():
-    # q - 1 > 2^17, so doubling blocks span several 2^16-row chunks.  Check
-    # exp[k+1] = g * exp[k] for every k (scalar oracle around every power of
-    # two and every multiple of 2^16, the vectorised one on the whole table),
-    # log as the inverse of exp, and the whole Zech table against digitwise
-    # 1 + x.
+    # q - 1 > 2^17, so doubling blocks span many row chunks of the exp
+    # kernel.  Check exp[k+1] = g * exp[k] for every k (scalar oracle around
+    # every power of two, every multiple of 2^16 and every row-chunk edge,
+    # the vectorised one on the whole table), log as the inverse of exp, and
+    # the whole Zech table against digitwise 1 + x.
     p, e = 3, 12
     table = build_field(p, e)
     qm1, mod = table.q - 1, table.params.modulus
     g_digits = _digits(table.g, p, e)
-    edges = {1 << i for i in range(qm1.bit_length())} | set(range(1 << 16, qm1, 1 << 16))
+    blocks = [1 << i for i in range(qm1.bit_length())]
+    rows = ff._CHUNK // e
+    edges = set(blocks) | set(range(1 << 16, qm1, 1 << 16))
+    edges |= {m + lo for m in blocks for lo in range(0, m, rows) if m + lo < qm1}
     for k in sorted({k for b in edges for k in (b - 2, b - 1, b) if 0 <= k < qm1}):
         step = oracle_mul(_digits(int(table.exp[k]), p, e), g_digits, mod, p)
         assert _code(step, p) == int(table.exp[(k + 1) % qm1]), k
@@ -339,6 +368,48 @@ def test_exp_and_zech_across_block_and_chunk_boundaries():
     plus_one = digits @ p ** np.arange(e)
     np.testing.assert_array_equal(table.zech, table.log[plus_one])
     assert int(table.zech[qm1 // 2]) == -1
+
+
+# sha256 of the little-endian int32 bytes of exp, log and zech, recorded
+# before the exp kernel's chunks shrank from 2^16 rows to 2^16 // e: any byte
+# drift at a chunk edge of the kernel or of the Zech build shows here.
+TABLE_DIGESTS = {
+    (3, 12): ("9b71137fb6294152cf30ff5b0757f0b1b1ed3fe1018ff6a75ef8d25515b44bbc",
+              "a86be36eb7453cf815f4c6bbd7106af69cfb57efa60d6d48171dfe9725c262d7",
+              "3201ece9d769351131055da4cbdc613261c7179ea3a419cfe6ff0e295c88b8c5"),
+    (3, 13): ("a9c506df94a600faecd4bef241734911e0430f06a31ea801bfbab6aee2b380f5",
+              "6de124d03adb00cd844229504c1b53f4f56e80eb4a3986c31dace94439b15545",
+              "d442cea5acfdf56c70deb2c4bdf358fc41d36abec184a3a34219f5837cbe85e1"),
+    (13, 5): ("7f5b947e6322fa373eabef2cfdae0a9b04fbebf3d2ae84a1afa7d3c8cece431d",
+              "a0fd8e17f6b058aeb217691d36ad2317ad8d050725f7186babd7695899571071",
+              "59106cbf97d2a9edaf076c603a3bc128981d7991890ea49267b17fb749e2b23e"),
+    (11, 5): ("9a101c315aa5d713be61e66abfd9ef4ba3f2a2d41a6b4706ed1f1ae3ffadc0a0",
+              "88e9442abec54f4bb1bca8f15f2fd48dc18550496988b9c7a5a7af2b033fa2f0",
+              "7cd0a94cff108535b37008987ab05bbca9f2e3d4f82f66889202f9e494a9c2c8"),
+    (7, 6): ("5008445df72c0313ec0686b1df621af7d6edcf6a7864e98252a50a0bca19b8ad",
+             "56468986e9b103d48eaddde9a74609c863aa69af35ca19bc2209df8b1e0fd480",
+             "58fc6694e921cad875b733acb4e44f495a9b3162be19a5e98f4901161824c7db"),
+    (5, 8): ("41e7b960e55ad72084fa8aac233c1bd8ad2d6cd8c0bfcf682f36d2860e8b576e",
+             "ff4015517372532460af44e06d442bf76c24505f5d7928198abfc1faf9c17c4a",
+             "77b14ed45bd45fc8601ae3ba67770973ca7b6b728bf05726ddb9e8dc872a4ac1"),
+    (17, 3): ("7d57036344be4c0dba12efeb32928c4fa86f09d98f81839c68adf09068fa2b0c",
+              "de8e3202be37bd7dc1ba6ff3cd6abc12210d9d176fd57adfaf42ed7f9fdeb483",
+              "c1f349876089ef62e9eeb90078f7f233a5f5a7490f5b36f0e8b7ee159880e88c"),
+    (65537, 1): ("79d68d6fed51b808732ce547f6ac47a97b69a1637d4090d5c0f1e35758eeaf6d",
+                 "9da571a629636a84d5e2df58be480bcf8e5f2106cb11da267c1ac258d6199e12",
+                 "69eaf2955a49299a9723606c2ea37b207dd9db5e065927e30cd98f3bdee23be7"),
+    (13, 6): ("01e189c3129bf883c16ea1b58a0b7cb79c217008c82a6198f02c9f1bfbae95ef",
+              "cb2e39fd480d003fa8f1757de3f4b4478d592293e7fdab8517ef5ad3fd4af623",
+              "80ed1ea07213f6b32257e755937336dad3738b2d3785111ed95937945b237ef4"),
+}
+
+
+@pytest.mark.parametrize("p,e", list(TABLE_DIGESTS))
+def test_table_bytes_are_pinned(p, e):
+    table = build_field(p, e)
+    digests = tuple(hashlib.sha256(getattr(table, name).astype("<i4").tobytes()).hexdigest()
+                    for name in ("exp", "log", "zech"))
+    assert digests == TABLE_DIGESTS[p, e]
 
 
 def test_non_generator_is_an_invariant_error_under_optimize():
