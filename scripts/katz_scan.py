@@ -1,9 +1,14 @@
-"""Scan character line sums against the (n-1)sqrt(q) bound on small fields."""
+"""Scan character line sums against the (n-1)sqrt(q) bound on small fields.
+
+The smallest field scanned is GF(3^2) and the largest build_field's default
+cap allows is 2^24, so a --max-order outside [9, 2^24] gets one "error:"
+line on stderr and exit status 2 before any field is built.
+"""
 
 import argparse
 import sys
 
-from cayley_cliques import build_field, katz_bound_check
+from cayley_cliques import DEFAULT_CAP, build_field, katz_bound_check
 from cayley_cliques.ff import divisors, primerange
 
 
@@ -14,6 +19,10 @@ def main() -> int:
     ap.add_argument("--ratio-floor", type=float, default=0.0,
                     help="only print rows with max_ratio above this")
     args = ap.parse_args()
+    if not 9 <= args.max_order <= DEFAULT_CAP:
+        print(f"error: --max-order {args.max_order} is outside [9, 2^24]: GF(3^2) is the "
+              "smallest field scanned and 2^24 the field-size cap", file=sys.stderr)
+        return 2
 
     worst = (0.0, None)
     rows = 0

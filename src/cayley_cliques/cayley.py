@@ -172,7 +172,7 @@ class CayleyGraph:
     def in_connection_set(self, x: Element) -> bool:
         if x == 0:
             return False
-        return bool(self._j_lut[int(self.table.log[x]) % self.d])
+        return bool(self._j_lut[self.table.log_view[x] % self.d])
 
     def connection_set(self) -> np.ndarray:
         """All codes in S, ascending."""
@@ -375,7 +375,7 @@ class CayleyGraph:
         for i in range(n):
             if slice_of[i] >= 0:
                 continue
-            scaled = t.exp[(int(t.log[vertices[i]]) + shifts) % t.qm1]
+            scaled = t.exp[(t.log_view[vertices[i]] + shifts) % t.qm1]
             images = np.concatenate([t.add_many(scaled, f) for f in base])
             at = np.searchsorted(vertices, images).clip(max=n - 1)
             if (

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .ff import Element, FieldTable, NotADivisor
@@ -61,7 +62,7 @@ class Character:
         """k with chi(x) = zeta_d^k; hard error at 0."""
         if x == 0:
             raise ZeroArgument("character undefined at 0")
-        return self.table.log.item(x) % self.d
+        return self.table.log_view[x] % self.d
 
     def value(self, x: Element) -> complex:
         return unit_root(self.d, self.chi_class(x))
@@ -73,6 +74,14 @@ class Character:
 def unit_root(d: int, j: int) -> complex:
     angle = 2.0 * math.pi * (j % d) / d
     return complex(math.cos(angle), math.sin(angle))
+
+
+@lru_cache(maxsize=1)
+def _unit_circle(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """cos and sin of 2.0 * pi * j / d for j < d.  Every magnitude of a
+    Katz scan has the same d, so one table is kept."""
+    angles = [2.0 * math.pi * j / d for j in range(d)]
+    return tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
 
 
 @dataclass
@@ -94,8 +103,9 @@ class RootOfUnitySum:
         return sum(self.counts)
 
     def value(self) -> complex:
-        re = math.fsum(c * math.cos(2.0 * math.pi * j / self.d) for j, c in enumerate(self.counts) if c)
-        im = math.fsum(c * math.sin(2.0 * math.pi * j / self.d) for j, c in enumerate(self.counts) if c)
+        cos, sin = _unit_circle(self.d)
+        re = math.fsum(c * cos[j] for j, c in enumerate(self.counts) if c)
+        im = math.fsum(c * sin[j] for j, c in enumerate(self.counts) if c)
         return complex(re, im)
 
     def magnitude(self) -> float:
@@ -108,14 +118,14 @@ def line_sum(chi: Character, theta: Element, base_elements) -> RootOfUnitySum:
     theta must avoid -base_elements; a zero term raises ZeroEncountered.
     """
     table, d = chi.table, chi.d
-    log = table.log
+    add, log = table.add, table.log_view
     acc = RootOfUnitySum.zero(d)
     counts = acc.counts
     for a in base_elements:
-        x = table.add(theta, a)
+        x = add(theta, a)
         if x == 0:
             raise ZeroEncountered(f"theta={theta} plus a={a} is 0")
-        counts[log.item(x) % d] += 1
+        counts[log[x] % d] += 1
     return acc
 
 

@@ -9,6 +9,9 @@ Z[k] = log(1 + g^k), log(a + b) = log a + Z[log b - log a] (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990; the lookup
 mode of the galois library, https://github.com/mhostetter/galois, keeps
 the same three tables).  Prime and extension fields share every method.
+Scalar operations index zero-copy read-only memoryviews of the same
+tables, so each lookup is one buffer read, not an ndarray method call;
+vectorized operations index the arrays.
 
 Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficient
@@ -318,8 +321,14 @@ class FieldTable:
     zech : int32 ndarray, shape (q-1,)
         Zech logarithm: zech[k] = log(1 + g^k), so zech[(q-1)/2] = -1 marks
         1 + g^k = 0.  Built on the first addition, not by build_field.
+    exp_view, log_view, zech_view : memoryview
+        Read-only views of the same three tables, for scalar reads: indexing
+        one returns a Python int.  Each array is read back from its view
+        (memoryview.obj), so a table and its view cannot disagree, and
+        exp, log and zech cannot be rebound.
 
-    The three tables take 12 bytes per element once zech is built.
+    The three tables take 12 bytes per element once zech is built; the
+    views share their memory.
     """
 
     def __init__(self, params: FieldParams, g: int, exp: np.ndarray, log: np.ndarray):
@@ -329,10 +338,18 @@ class FieldTable:
         self.q = params.p**params.e
         self.qm1 = self.q - 1
         self.g = g
-        self.exp = exp
-        self.log = log
         for arr in (exp, log):
             arr.setflags(write=False)
+        self.exp_view = memoryview(exp)
+        self.log_view = memoryview(log)
+
+    @property
+    def exp(self) -> np.ndarray:
+        return self.exp_view.obj
+
+    @property
+    def log(self) -> np.ndarray:
+        return self.log_view.obj
 
     def __repr__(self) -> str:
         return f"FieldTable(GF({self.p}^{self.e}))"
@@ -342,8 +359,12 @@ class FieldTable:
     def elements(self) -> range:
         return range(self.q)
 
-    @cached_property
+    @property
     def zech(self) -> np.ndarray:
+        return self.zech_view.obj
+
+    @cached_property
+    def zech_view(self) -> memoryview:
         """zech[k] = log(1 + g^k), built in chunks on first use.
 
         1 + x only bumps the constant digit of x's code, wrapping p - 1 to
@@ -360,19 +381,20 @@ class FieldTable:
             plus_one -= p * (plus_one - plus_one // p * p == 0)
             np.take(self.log, plus_one, out=zech[lo : lo + _CHUNK])
         zech.setflags(write=False)
-        return zech
+        return memoryview(zech)
 
     def add(self, a: Element, b: Element) -> Element:
         if a == 0 or b == 0:
             return a + b
-        la = self.log.item(a)
-        z = self.zech.item((self.log.item(b) - la) % self.qm1)
-        return 0 if z < 0 else self.exp.item((la + z) % self.qm1)
+        log, qm1 = self.log_view, self.qm1
+        la = log[a]
+        z = self.zech_view[(log[b] - la) % qm1]
+        return 0 if z < 0 else self.exp_view[(la + z) % qm1]
 
     def neg(self, a: Element) -> Element:
         if a == 0:
             return 0
-        return self.exp.item((self.log.item(a) + self.qm1 // 2) % self.qm1)
+        return self.exp_view[(self.log_view[a] + self.qm1 // 2) % self.qm1]
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
@@ -380,12 +402,13 @@ class FieldTable:
     def mul(self, a: Element, b: Element) -> Element:
         if a == 0 or b == 0:
             return 0
-        return self.exp.item((self.log.item(a) + self.log.item(b)) % self.qm1)
+        log = self.log_view
+        return self.exp_view[(log[a] + log[b]) % self.qm1]
 
     def inv(self, a: Element) -> Element:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.exp.item(-self.log.item(a) % self.qm1)
+        return self.exp_view[-self.log_view[a] % self.qm1]
 
     def pow(self, a: Element, k: int) -> Element:
         if a == 0:
@@ -394,7 +417,7 @@ class FieldTable:
             if k == 0:
                 return 1
             raise ZeroDivisionError("0 cannot be raised to a negative power")
-        return self.exp.item(self.log.item(a) * k % self.qm1)
+        return self.exp_view[self.log_view[a] * k % self.qm1]
 
     # ------------------------------------------------------- vectorized ops
 
@@ -408,7 +431,7 @@ class FieldTable:
             same.setflags(write=False)
             return same
         la = self.log[codes]
-        z = self.zech[(int(self.log[c]) - la) % self.qm1]
+        z = self.zech[(self.log_view[c] - la) % self.qm1]
         out = self.exp[np.add(la, z, dtype=np.int64) % self.qm1]  # la + z can pass 2^31
         out[z < 0] = 0  # x = -c
         out[codes == 0] = c
@@ -445,7 +468,7 @@ class FieldTable:
             raise NotADivisor(f"r={r} does not divide e={self.e}")
         if theta == 0:
             return 1
-        k = int(self.log[theta])
+        k = self.log_view[theta]
         n_over = self.e // r
         for m in range(1, n_over + 1):
             if n_over % m == 0 and (k * pow(self.p, r * m, self.qm1)) % self.qm1 == k:

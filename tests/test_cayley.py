@@ -24,6 +24,7 @@ from cayley_cliques import (
     DegenerateModulus,
     EmptyJ,
     ExactBudgetExceeded,
+    FieldTable,
     GraphKind,
     InvariantError,
     NotAClique,
@@ -320,11 +321,15 @@ def test_common_neighbors_of_subfields_match_a_whole_field_scan():
     assert with_witnesses and without
 
 
-def test_corrupt_tables_are_caught_by_the_subfield_cross_checks(gf81, monkeypatch):
-    graph = make_graph(gf81, GraphKind.peisert(4))
+def _with_log(table, log):
+    """A table with the same exp and a replaced log: tables cannot be rebound."""
+    return FieldTable(table.params, table.g, table.exp, log)
+
+
+def test_corrupt_tables_are_caught_by_the_subfield_cross_checks(gf81):
     log = gf81.log.copy()
     log[2] += 2  # F_3* = {1, 2}; class of 2 leaves J = {0, 1}
-    monkeypatch.setattr(gf81, "log", log)
+    graph = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
     with pytest.raises(InvariantError, match="corrupt tables"):
         graph.subfield_is_clique(1)
 
@@ -535,16 +540,15 @@ def test_extension_size_matches_networkx_on_witness_pools(graphs, p, e, r, kind)
     assert CayleyGraph._orbit_clique_size(graph._induced_adjacency(vertices), orbits, 0) == omega
 
 
-def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81, monkeypatch):
-    graph = make_graph(gf81, GraphKind.peisert(4))
+def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81):
     log = gf81.log.copy()
     log[12] = (log[12] + 40) % 80  # the log of -12: same class, so 12 stays a witness
-    monkeypatch.setattr(gf81, "log", log)
+    graph = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
     with pytest.raises(InvariantError, match="orbit of witness 12"):
         graph.extend_to_maximal_clique((0, 1, 2), "exact")
 
 
-def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81, monkeypatch):
+def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81):
     # In GP*(81,4) the pool is two <g^L> x| F slices, {9,10,11,18,19,20}
     # and {12,13,14,24,25,26}, which x -> x^9 swaps.  Swapping the logs of
     # 10 and 13 (neither read by the slice scan, which only takes the logs
@@ -556,22 +560,22 @@ def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81, monkeyp
     assert len(graph._pool_orbits(base, pool)) == 1
     log = gf81.log.copy()
     log[[10, 13]] = log[[13, 10]]
-    monkeypatch.setattr(gf81, "log", log)
+    corrupt = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
     with pytest.raises(InvariantError, match="splits the slice of witness 9"):
-        graph._pool_orbits(base, pool)
+        corrupt._pool_orbits(base, pool)
 
 
 def test_orbit_invariance_check_survives_optimize():
     src = Path(cayley_cliques.__file__).parents[1]
     script = (
         "import sys\n"
-        "from cayley_cliques import GraphKind, InvariantError, build_field, make_graph\n"
+        "from cayley_cliques import FieldTable, GraphKind, InvariantError, build_field, make_graph\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
-        "table = build_field(3, 4)\n"
-        "log = table.log.copy()\n"
+        "good = build_field(3, 4)\n"
+        "log = good.log.copy()\n"
         "log[12] = (log[12] + 40) % 80\n"
-        "table.log = log\n"
+        "table = FieldTable(good.params, good.g, good.exp, log)\n"
         "try:\n"
         "    make_graph(table, GraphKind.peisert(4)).extend_to_maximal_clique((0, 1, 2))\n"
         "except InvariantError as exc:\n"

@@ -6,6 +6,7 @@ import cmath
 import math
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -103,6 +104,30 @@ def test_line_sum_rejects_zero_term(gf81):
     base = gf81.subfield_elements(1)
     with pytest.raises(ZeroEncountered):
         line_sum(chi, gf81.neg(1), base)
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (7, 3), (3, 6)])
+def test_line_sum_counts_match_a_vectorized_oracle_for_every_theta(p, e):
+    """Counts from one add_many over the base, a log gather and a bincount:
+    no scalar table read in common with line_sum."""
+    table = build_field(p, e)
+    qm1 = table.qm1
+    ds = sympy.divisors(qm1)[1:]
+    for r in sympy.divisors(e)[:-1]:
+        base = table.subfield_elements(r)
+        codes = np.array(base)
+        for theta in table.full_degree_elements(r).tolist():
+            terms = table.add_many(codes, theta)
+            assert terms.all(), (r, theta)  # theta + a is never 0 off -F
+            logs = table.log[terms]
+            for d in ds:
+                expected = np.bincount(logs % d, minlength=d).tolist()
+                assert line_sum(Character(table, d), theta, base).counts == expected, (r, d, theta)
+        # -F: the negated codes, 0 included, each put a zero term in the sum.
+        negated = np.where(codes == 0, 0, table.exp[(table.log[codes] + qm1 // 2) % qm1])
+        for theta in negated.tolist():
+            with pytest.raises(ZeroEncountered):
+                line_sum(Character(table, ds[0]), theta, base)
 
 
 def _katz_oracle_max_ratio(table, r, d):

@@ -260,6 +260,31 @@ def test_theorem1_sweep_past_the_table_limit_exits_2_before_sweeping():
     assert done.stderr.startswith("error: ") and "2^31" in done.stderr
 
 
+@pytest.mark.parametrize("max_order", ["8", "-1", str(2**24 + 1)])
+def test_katz_scan_outside_its_field_range_exits_2_before_scanning(max_order):
+    # Below 9 no field is scanned (the summary had no worst report to name);
+    # past 2^24 build_field would refuse a field mid-scan.
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "katz_scan.py"),
+                           "--max-order", max_order], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_katz_scan_at_the_smallest_order_scans_gf9():
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "katz_scan.py"),
+                           "--max-order", "9"], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "3 scans; worst ratio 1.000000 (GF(3^2) r=1 d=8)"
+
+
 def test_reproduce_counterexamples_script_to_2500():
     root = Path(__file__).parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))

@@ -29,6 +29,7 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 from cayley_cliques import ff
 from cayley_cliques.ff import (
     CapExceeded,
+    FieldTable,
     InvariantError,
     NotADivisor,
     build_field,
@@ -537,10 +538,10 @@ def test_subfield_closure(gf81):
                 assert gf81.mul(a, b) in sub
 
 
-def test_short_exp_table_is_an_invariant_error(gf81, monkeypatch):
-    monkeypatch.setattr(gf81, "exp", gf81.exp[:40])  # F_3* would need exp[0], exp[40]
+def test_short_exp_table_is_an_invariant_error(gf81):
+    short = FieldTable(gf81.params, gf81.g, gf81.exp[:40], gf81.log)  # F_3* needs exp[0], exp[40]
     with pytest.raises(InvariantError, match="units"):
-        gf81.subfield_elements(1)
+        short.subfield_elements(1)
 
 
 def test_frozen_subfield_codes(gf81):
@@ -635,6 +636,52 @@ def test_zero_division(gf13):
 def test_tables_are_read_only(gf13):
     with pytest.raises(ValueError):
         gf13.exp[0] = 5
+
+
+# ---------------------------------------------------------------------------
+# scalar ops on their memoryviews, every element
+
+VIEW_FIELDS = [(13, 1), (7, 2), (3, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("p,e", VIEW_FIELDS)
+def test_neg_inv_pow_match_numpy_log_arithmetic_on_every_element(p, e):
+    table = build_field(p, e)
+    qm1 = table.qm1
+    logs = table.log[1:].astype(np.int64)  # the logs of the units 1 .. q-1
+    ks = np.arange(-2, table.q + 1)
+    negs = table.exp[(logs + qm1 // 2) % qm1].tolist()
+    invs = table.exp[-logs % qm1].tolist()
+    powers = table.exp[logs[:, None] * ks % qm1].tolist()  # powers[x - 1][k + 2] = x^k
+    ks = ks.tolist()
+    got_negs = [table.neg(x) for x in range(1, table.q)]
+    got_invs = [table.inv(x) for x in range(1, table.q)]
+    got_powers = [[table.pow(x, k) for k in ks] for x in range(1, table.q)]
+    assert (got_negs, got_invs, got_powers) == (negs, invs, powers)
+    results = got_negs + got_invs + [v for row in got_powers for v in row]
+    assert {type(v) for v in results} == {int}
+    assert table.neg(0) == 0
+    with pytest.raises(ZeroDivisionError):
+        table.inv(0)
+    assert [table.pow(0, k) for k in ks if k >= 0] == [1] + [0] * (len(ks) - 3)
+    for k in (-1, -2):
+        with pytest.raises(ZeroDivisionError):
+            table.pow(0, k)
+
+
+@pytest.mark.parametrize("p,e", VIEW_FIELDS)
+def test_scalar_views_are_read_only_and_share_the_tables_memory(p, e):
+    table = build_field(p, e)
+    table.add(1, 1)  # builds zech
+    for name in ("exp", "log", "zech"):
+        view, arr = getattr(table, f"{name}_view"), getattr(table, name)
+        assert view.readonly and view.obj is arr
+        assert np.shares_memory(np.asarray(view), arr)
+        with pytest.raises(TypeError):
+            view[0] = 1
+        # A rebound table would leave its view stale, so rebinding is refused.
+        with pytest.raises(AttributeError):
+            setattr(table, name, arr.copy())
 
 
 def test_to_json_round_trip(gf81):
