@@ -11,6 +11,10 @@ x -> ux + f with u in <g^L> and f in F, the set K of Frobenius powers
 x -> x^(p^k) that fix the connection set, and the number of orbits of W
 under the semilinear group they generate, as the exact extension finds
 them: it runs one rooted subproblem per orbit.
+
+A --max-order the sweep cannot take (past the 2^24 field cap, or not below
+2^31) gets one "error:" line on stderr and exit status 2 before anything
+runs; status 1 is kept for a wrong extension size or a VIOLATION.
 """
 
 import argparse
@@ -34,6 +38,11 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=1000,
                     help="also sweep all Peisert cases up to this order")
     args = ap.parse_args()
+    try:
+        config = SweepConfig(max_order=args.max_order, kinds=("peisert",))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     for (p, s, n, d), want in PINNED:
         t0 = time.perf_counter()
@@ -47,7 +56,7 @@ def main() -> int:
             return 1
 
     print(f"\nsweeping all Peisert cases with order <= {args.max_order} ...")
-    found = find_counterexamples(SweepConfig(max_order=args.max_order, kinds=("peisert",)))
+    found = find_counterexamples(config)
     table = None
     for r in found:
         c = r.case

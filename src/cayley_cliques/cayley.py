@@ -55,10 +55,6 @@ class NotAClique(ValueError):
     """A vertex set that was required to be a clique is not one."""
 
 
-class ExactBudgetExceeded(RuntimeError):
-    """Induced subgraph too large for the exact clique search."""
-
-
 @dataclass(frozen=True)
 class GraphKind:
     """Connection-set recipe: residue classes J inside Z_d.
@@ -252,44 +248,44 @@ class CayleyGraph:
         witnesses = self.common_neighbors(vertices)
         return (len(witnesses) == 0, witnesses)
 
-    def extend_to_maximal_clique(
-        self, vertices, strategy: str = "exact", exact_budget: int = 2000
-    ) -> CliqueReport:
-        """Grow a clique until maximal.
+    def extend_to_maximal_clique(self, vertices, *, exact_budget: int = 2000) -> CliqueReport:
+        """Grow a clique until maximal, exactly when its witness pool is small.
 
-        greedy: repeatedly add the smallest common neighbor.
-        exact: maximum clique of the subgraph induced on the common
-        neighbors (so the result is a maximum clique containing the input);
-        refuses if that subgraph exceeds exact_budget vertices.
+        A pool (the common neighbors) of at most exact_budget vertices gets
+        the exact extension: a maximum clique of the subgraph induced on the
+        pool, so the result is a maximum clique containing the input.  A
+        larger pool gets the greedy one, which repeatedly adds the smallest
+        common neighbor.  The report's method names which ran.
         """
+        if exact_budget < 0:
+            raise ValueError(f"exact budget must be >= 0, got {exact_budget}")
         if not self.is_clique(vertices):
             raise NotAClique(f"{sorted(set(vertices))} is not a clique")
         base = sorted(set(vertices))
-        if strategy == "greedy":
-            clique = self._extend_greedy(base)
-        elif strategy == "exact":
-            clique = self._extend_exact(base, exact_budget)
+        pool = self.common_neighbors(base)
+        if len(pool) <= exact_budget:
+            method, clique = "exact", self._extend_exact(base, pool)
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            method, clique = "greedy", self._extend_greedy(base, pool)
         leftover = self.common_neighbors(clique)
         if leftover:
             raise InvariantError(
-                f"{strategy} extension of {base} stopped at a non-maximal clique: "
+                f"{method} extension of {base} stopped at a non-maximal clique: "
                 f"{len(leftover)} common neighbors remain"
             )
-        return CliqueReport(tuple(clique), True, (), strategy)
+        return CliqueReport(tuple(clique), True, (), method)
 
-    def _extend_greedy(self, base: list[Element]) -> list[Element]:
+    def _extend_greedy(self, base: list[Element], pool: list[Element]) -> list[Element]:
         cur = list(base)
-        pool = np.array(self.common_neighbors(cur), dtype=np.int64)
-        while pool.size:
-            v = int(pool[0])
+        cand = np.array(pool, dtype=np.int64)
+        while cand.size:
+            v = int(cand[0])
             cur.append(v)
-            pool = pool[self._member_mask(self.table.sub_many(pool, v))]
+            cand = cand[self._member_mask(self.table.sub_many(cand, v))]
         return sorted(cur)
 
-    def _extend_exact(self, base: list[Element], exact_budget: int) -> list[Element]:
-        """Base plus a maximum clique of its witness pool W.
+    def _extend_exact(self, base: list[Element], pool: list[Element]) -> list[Element]:
+        """Base plus a maximum clique of its witness pool W, ascending.
 
         When the base is a subfield F, the maximum clique size comes from one
         rooted subproblem per orbit of W under x -> u x^(p^k) + f (see
@@ -298,11 +294,6 @@ class CayleyGraph:
         greedy extension returns: the seed when nothing beats it, else the
         first clique of the optimum size that search meets.
         """
-        pool = self.common_neighbors(base)
-        if len(pool) > exact_budget:
-            raise ExactBudgetExceeded(
-                f"{len(pool)} common neighbors exceed the exact-search budget {exact_budget}"
-            )
         if not pool:
             return list(base)
         vertices = np.array(pool, dtype=np.int64)

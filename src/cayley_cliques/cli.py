@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cayley import ExactBudgetExceeded, GraphKind, make_graph
+from .cayley import GraphKind, make_graph
 from .charsum import epsilon_star, katz_bound_check, unit_root
 from .ff import DEFAULT_CAP, InvariantError, build_field
 from .verify import (
@@ -170,7 +170,7 @@ def _cmd_clique_extend(args: argparse.Namespace) -> int:
     table = build_field(args.p, args.s * args.n, cap=args.cap)
     graph = make_graph(table, GraphKind.from_name(args.kind, args.d))
     subfield = table.subfield_elements(args.s)
-    report = graph.extend_to_maximal_clique(subfield, args.strategy, args.exact_budget)
+    report = graph.extend_to_maximal_clique(subfield, exact_budget=args.exact_budget)
     _emit(report.to_json(), args)
     return 0
 
@@ -209,13 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, required=True, help="extension degree")
     _add_output_flags(sp)
 
-    def graph_flags(sp: argparse.ArgumentParser, n_required: bool) -> None:
+    def graph_flags(sp: argparse.ArgumentParser, n_required: bool, kind: bool = True) -> None:
         sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
         sp.add_argument("--s", type=int, required=True, help="base subfield degree over F_p")
         sp.add_argument("--n", type=int, required=n_required, default=None if n_required else 1,
                         help="extension degree over the base subfield")
         sp.add_argument("--d", type=int, required=True, help="residue-class order")
-        sp.add_argument("--kind", choices=("paley", "peisert"), default="paley")
+        if kind:
+            sp.add_argument("--kind", choices=("paley", "peisert"), default="paley")
+
+    def budget_flag(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--exact-budget", type=int, default=2000,
+                        help="extend exactly when the witness pool has at most this many "
+                             "vertices, else greedily")
 
     sp = sub.add_parser("graph-info", help="connection-set parameters of GP/GP* on GF(p^(s*n))")
     graph_flags(sp, n_required=False)
@@ -223,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="full verdict for one (p, s, n, d, kind) case")
     graph_flags(sp, n_required=True)
-    sp.add_argument("--exact-budget", type=int, default=2000,
-                    help="max common-neighbor count for exact extension")
+    budget_flag(sp)
     _add_output_flags(sp)
 
     sp = sub.add_parser("conjecture", help="predicted maximal subfield r for GP(p^s, d), then verify")
@@ -240,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-max", type=int, default=None)
     sp.add_argument("--max-base", type=int, default=None, help="only bases q = p^s up to this")
     sp.add_argument("--kind", choices=("paley", "peisert", "both"), default="both")
-    sp.add_argument("--exact-budget", type=int, default=2000)
+    budget_flag(sp)
     _add_output_flags(sp, formats=("json", "csv", "text"))
 
     sp = sub.add_parser("katz", help="character-sum bound over GF(p^(s*n)) with base degree s")
-    graph_flags(sp, n_required=True)
+    graph_flags(sp, n_required=True, kind=False)
     _add_output_flags(sp)
 
     sp = sub.add_parser("epsilon", help="epsilon* of the half-circle root-of-unity set for even d")
@@ -253,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clique-extend", help="extend the base subfield to a maximal clique")
     graph_flags(sp, n_required=True)
-    sp.add_argument("--strategy", choices=("exact", "greedy"), default="exact")
-    sp.add_argument("--exact-budget", type=int, default=2000)
+    budget_flag(sp)
     _add_output_flags(sp)
 
     return parser
@@ -277,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ExactBudgetExceeded) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

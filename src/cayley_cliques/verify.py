@@ -25,7 +25,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cayley import CayleyGraph, ExactBudgetExceeded, GraphKind, make_graph
+from .cayley import GraphKind, make_graph
 from .charsum import _segment_closest, epsilon_star, unit_root
 from .ff import (DEFAULT_CAP, MAX_FIELD, FieldTable, build_field, divisors, factorize,
                  is_prime, primerange)
@@ -208,6 +208,8 @@ def verify_case(
     table: FieldTable | None = None,
 ) -> TheoremReport:
     """Full pipeline for one case: build, classify, scan, extend, judge."""
+    if exact_budget < 0:
+        raise ValueError(f"exact budget must be >= 0, got {exact_budget}")
     E = case.s * case.n
     if table is None:
         table = build_field(case.p, E, cap=cap)
@@ -228,10 +230,7 @@ def verify_case(
         maximal, wits = graph.is_maximal_clique(subfield)
         witnesses = tuple(wits)
         if not maximal:
-            try:
-                ext = graph.extend_to_maximal_clique(subfield, "exact", exact_budget)
-            except ExactBudgetExceeded:
-                ext = graph.extend_to_maximal_clique(subfield, "greedy")
+            ext = graph.extend_to_maximal_clique(subfield, exact_budget=exact_budget)
             ext_size = len(ext.clique)
             ext_method = ext.method
 
@@ -312,6 +311,8 @@ class SweepConfig:
             raise ValueError(f"max_order {self.max_order} is not below the table limit 2^31")
         if self.max_order > self.cap:
             raise ValueError(f"max_order {self.max_order} exceeds the field cap {self.cap}")
+        if self.exact_budget < 0:
+            raise ValueError(f"exact budget must be >= 0, got {self.exact_budget}")
         for k in self.kinds:
             if k not in ("paley", "peisert"):
                 raise ValueError(f"unknown kind {k!r}")

@@ -23,7 +23,6 @@ from cayley_cliques import (
     CayleyGraph,
     DegenerateModulus,
     EmptyJ,
-    ExactBudgetExceeded,
     FieldTable,
     GraphKind,
     InvariantError,
@@ -165,7 +164,7 @@ def test_common_neighbors_sorted_and_adjacent(gpstar81_4):
 
 
 def test_exact_extension_reaches_size_nine(gpstar81_4):
-    report = gpstar81_4.extend_to_maximal_clique((0, 1, 2), "exact")
+    report = gpstar81_4.extend_to_maximal_clique((0, 1, 2))
     assert report.method == "exact"
     assert report.is_maximal and report.witnesses == ()
     assert len(report.clique) == 9
@@ -175,7 +174,7 @@ def test_exact_extension_reaches_size_nine(gpstar81_4):
 
 
 def test_greedy_extension_is_maximal(gpstar81_4):
-    report = gpstar81_4.extend_to_maximal_clique((0, 1, 2), "greedy")
+    report = gpstar81_4.extend_to_maximal_clique((0, 1, 2), exact_budget=0)
     assert report.method == "greedy"
     assert report.is_maximal
     assert gpstar81_4.is_clique(report.clique)
@@ -188,13 +187,18 @@ def test_greedy_extension_is_maximal(gpstar81_4):
 
 
 def test_exact_budget_enforced(gpstar81_4):
-    with pytest.raises(ExactBudgetExceeded):
-        gpstar81_4.extend_to_maximal_clique((0, 1, 2), "exact", exact_budget=5)
+    # The pool of F_3 has 12 vertices: exact up to a budget of 12, greedy past it.
+    assert gpstar81_4.extend_to_maximal_clique((0, 1, 2), exact_budget=12).method == "exact"
+    over = gpstar81_4.extend_to_maximal_clique((0, 1, 2), exact_budget=11)
+    assert over == gpstar81_4.extend_to_maximal_clique((0, 1, 2), exact_budget=0)
+    assert over.method == "greedy"
+    with pytest.raises(ValueError, match="budget"):
+        gpstar81_4.extend_to_maximal_clique((0, 1, 2), exact_budget=-1)
 
 
 def test_extension_of_maximal_clique_is_identity(gf9):
     graph = make_graph(gf9, GraphKind.paley(2))
-    report = graph.extend_to_maximal_clique((0, 1, 2), "exact")
+    report = graph.extend_to_maximal_clique((0, 1, 2))
     assert report.clique == (0, 1, 2)
     assert graph.is_maximal_clique({0, 1, 2}) == (True, [])
     assert graph.common_neighbors({0, 1, 2}) == []
@@ -204,7 +208,7 @@ def test_non_clique_input_rejected(gpstar81_4):
     with pytest.raises(NotAClique):
         gpstar81_4.is_maximal_clique({0, 1, 2, 9, 12})
     with pytest.raises(NotAClique):
-        gpstar81_4.extend_to_maximal_clique((0, 3), "greedy")
+        gpstar81_4.extend_to_maximal_clique((0, 3), exact_budget=0)
     with pytest.raises(NotAClique):
         gpstar81_4.is_maximal_subfield_clique(2)
 
@@ -335,9 +339,9 @@ def test_corrupt_tables_are_caught_by_the_subfield_cross_checks(gf81):
 
 
 def test_extension_that_stops_short_is_an_invariant_error(gpstar81_4, monkeypatch):
-    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, budget: base)
+    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, pool: base)
     with pytest.raises(InvariantError, match="non-maximal"):
-        gpstar81_4.extend_to_maximal_clique((0, 1, 2), "exact")
+        gpstar81_4.extend_to_maximal_clique((0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +455,7 @@ def graphs():
 def test_orbit_extension_matches_the_whole_pool_search(graphs, p, e, r, kind):
     graph = graphs(p, e, kind)
     base = graph.table.subfield_elements(r)
-    report = graph.extend_to_maximal_clique(base, "exact")
+    report = graph.extend_to_maximal_clique(base)
     assert report.clique == _reference_extension(graph, base)
 
 
@@ -519,7 +523,7 @@ def test_non_subfield_base_takes_the_whole_pool_search(gpstar81_4):
     assert gpstar81_4.is_clique(base)
     pool = np.array(gpstar81_4.common_neighbors(base), dtype=np.int64)
     assert gpstar81_4._pool_orbits(base, pool) is None
-    report = gpstar81_4.extend_to_maximal_clique(base, "exact")
+    report = gpstar81_4.extend_to_maximal_clique(base)
     assert report.clique == _reference_extension(gpstar81_4, base)
 
 
@@ -533,7 +537,7 @@ def test_extension_size_matches_networkx_on_witness_pools(graphs, p, e, r, kind)
     nxg.add_edges_from((u, v) for i, u in enumerate(pool) for v in pool[i + 1:]
                        if graph.adjacent(u, v))
     _, omega = nx.max_weight_clique(nxg, weight=None)
-    assert len(graph.extend_to_maximal_clique(base, "exact").clique) == len(base) + omega
+    assert len(graph.extend_to_maximal_clique(base).clique) == len(base) + omega
     # The orbit search alone, with no greedy seed to fall back on.
     vertices = np.array(pool, dtype=np.int64)
     orbits = graph._pool_orbits(list(base), vertices)
@@ -545,7 +549,7 @@ def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81):
     log[12] = (log[12] + 40) % 80  # the log of -12: same class, so 12 stays a witness
     graph = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
     with pytest.raises(InvariantError, match="orbit of witness 12"):
-        graph.extend_to_maximal_clique((0, 1, 2), "exact")
+        graph.extend_to_maximal_clique((0, 1, 2))
 
 
 def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81):

@@ -155,14 +155,39 @@ def test_clique_extend_command(capsys):
 
 
 def test_clique_extend_budget_error(capsys):
-    code, _, err = run(capsys, "clique-extend", "--p", "3", "--s", "1", "--n", "4",
-                       "--d", "4", "--kind", "peisert", "--exact-budget", "3")
-    assert code == 2
-    assert "budget" in err.lower()
+    # Over budget (the pool of F_3 has 12 vertices) the extension is greedy.
+    argv = ["clique-extend", "--p", "3", "--s", "1", "--n", "4", "--d", "4", "--kind", "peisert"]
+    code, out, _ = run(capsys, *argv, "--exact-budget", "3")
+    assert code == 0
+    assert json.loads(out)["method"] == "greedy"
+    assert run(capsys, *argv, "--exact-budget", "0")[:2] == (0, out)
+    code, out, err = run(capsys, *argv, "--exact-budget", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["clique-extend", "--p", "3", "--s", "1", "--n", "4", "--d", "4", "--strategy", "exact"],
+    ["katz", "--p", "3", "--s", "1", "--n", "4", "--d", "8", "--kind", "peisert"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "3", "--s", "1", "--n", "2", "--d", "2"],
+    ["sweep", "--max-order", "100"],
+])
+def test_negative_exact_budget_exits_2_before_verifying(capsys, argv):
+    code, out, err = run(capsys, *argv, "--exact-budget", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_broken_invariant_exits_1_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, budget: base)
+    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, pool: base)
     code, out, err = run(capsys, "clique-extend", "--p", "3", "--s", "1", "--n", "4",
                          "--d", "4", "--kind", "peisert")
     assert code == 1
@@ -260,6 +285,21 @@ def test_theorem1_sweep_past_the_table_limit_exits_2_before_sweeping():
     assert done.stderr.startswith("error: ") and "2^31" in done.stderr
 
 
+@pytest.mark.parametrize("max_order", [str(10**8), str(3 * 10**9)])
+def test_reproduce_counterexamples_past_the_field_cap_exits_2_before_running(max_order):
+    # 10^8 is past the 2^24 cap and 3*10^9 not below 2^31; the pinned cases
+    # must not run first, and exit 1 stays for a wrong size or a VIOLATION.
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "reproduce_counterexamples.py"),
+                           "--max-order", max_order], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("max_order", ["8", "-1", str(2**24 + 1)])
 def test_katz_scan_outside_its_field_range_exits_2_before_scanning(max_order):
     # Below 9 no field is scanned (the summary had no worst report to name);
@@ -332,6 +372,26 @@ def test_sweeps_match_the_recorded_benchmark_outputs(workload, tmp_path, capsys)
             key = f"case {c['p']} {c['s']} {c['n']} {c['d']} {c['kind']}"
             seen[key] = {"rc": code, "jsonl": line, "csv": row}
     assert seen == {k: v for k, v in recorded.items() if k.startswith("case ")}
+
+
+# The single calls of the peisert-hunt and field-build workloads, by their
+# reference keys: "verify p s n d kind" and "field p e".
+PINNED_CALLS = {
+    "peisert-hunt": ["verify 3 1 4 4 peisert", "verify 5 1 6 62 peisert"],
+    "field-build": ["field 13 6", "field 16777213 1", "field 4093 2"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_CALLS))
+def test_single_calls_match_the_recorded_benchmark_outputs(workload, capsys):
+    recorded = json.loads((REFERENCE / f"{workload}.json").read_text())
+    calls = {k: v for k, v in recorded.items() if not k.startswith("case ")}
+    assert sorted(calls) == PINNED_CALLS[workload]
+    for key, want in calls.items():
+        command, *values = key.split()
+        flags = ("--p", "--s", "--n", "--d", "--kind")[:len(values)]
+        code, out, _ = run(capsys, command, *[a for pair in zip(flags, values) for a in pair])
+        assert {"rc": code, "json": out} == want, key
 
 
 def _katz_scan_calls(max_order: int = 729):
