@@ -6,13 +6,14 @@ a class set J.  Paley graphs take J = {0} (the d-th powers), Peisert
 graphs take J = {0, ..., d/2 - 1}.  Requiring q == 1 (mod 2d) makes
 -1 a d-th power, so S = -S and the graphs are undirected.
 
-No adjacency matrix is materialized; adjacency queries go through the
-field's log table, and neighborhood scans filter candidate arrays one
-clique vertex at a time.  A set that contains a subfield starts from one
-representative exponent per coset of a subgroup that fixes the subfield
-and S, not from the whole field (see common_neighbors).  Exact
-maximum-clique searches run on bitset adjacency rows of small induced
-subgraphs only.
+No adjacency matrix of the whole graph is materialized; adjacency
+queries go through the field's log table, and neighborhood scans filter
+candidate arrays one clique vertex at a time.  A set that contains a
+subfield starts from one representative exponent per coset of a subgroup
+that fixes the subfield and S, not from the whole field (see
+common_neighbors).  Clique tests and the adjacency of small induced
+subgraphs come from one log-domain pair kernel (see _pair_adjacency), and
+exact maximum-clique searches run on bitset rows of those subgraphs only.
 
 The exact extension of a subfield F uses the graph's symmetry.  The maps
 x -> ux + f with f in F and u in the units of F that lie in class 0 mod d
@@ -22,11 +23,13 @@ x -> x^(p^k) fix F, and they fix S whenever p^k J = J (mod d), which for
 the Paley kind is every k.  Together they form a semilinear group G'
 inside AGammaL(1, q), which by Lim and Praeger (Michigan Math. J. 2009)
 holds the automorphisms of generalized Paley graphs in most cases; its
-orbits on W need not be free.  Every maximum clique of W can be moved
-onto one through the smallest member of an orbit, avoiding all earlier
-orbits; so the search runs one rooted subproblem per orbit (vertex-rooted
-branch and bound, as in Tomita et al., J. Global Optim. 2010), each only
-asked to beat the best size so far.
+orbits on W need not be free.  Take the orbits in any fixed order: every
+maximum clique of W can be moved onto one through the smallest member of
+an orbit, avoiding all orbits taken before it.  So the search runs one
+rooted subproblem per orbit (vertex-rooted branch and bound, as in Tomita
+et al., J. Global Optim. 2010), each only asked to beat the best size so
+far, and takes the largest orbits first, since removing them shrinks
+every later subproblem the most.
 """
 
 from __future__ import annotations
@@ -187,12 +190,16 @@ class CayleyGraph:
     # -------------------------------------------------------------- cliques
 
     def is_clique(self, vertices) -> bool:
-        """Every pair adjacent: each vertex against the later ones, one array at a time."""
+        """Every pair adjacent: row blocks of the pair kernel against the later vertices."""
         vs = np.array(sorted(set(vertices)), dtype=np.int64)
-        return all(
-            self._member_mask(self.table.sub_many(vs[i + 1 :], int(v))).all()
-            for i, v in enumerate(vs[:-1])
-        )
+        step = _rows_per_block(len(vs))
+        for lo in range(0, len(vs), step):
+            block = self._pair_adjacency(vs[lo : lo + step], vs[lo:])
+            # u - u = 0 is never in S: the diagonal is the one pair not to check.
+            np.fill_diagonal(block, True)
+            if not block.all():
+                return False
+        return True
 
     def common_neighbors(self, vertices) -> list[Element]:
         """Vertices adjacent to every element of the set, ascending.
@@ -259,10 +266,17 @@ class CayleyGraph:
         """
         if exact_budget < 0:
             raise ValueError(f"exact budget must be >= 0, got {exact_budget}")
-        if not self.is_clique(vertices):
-            raise NotAClique(f"{sorted(set(vertices))} is not a clique")
+        _, pool = self.is_maximal_clique(vertices)
+        return self._extend(vertices, pool, exact_budget)
+
+    def _extend(self, vertices, pool: list[Element], exact_budget: int) -> CliqueReport:
+        """extend_to_maximal_clique for a clique whose witness pool is known.
+
+        pool must be the common neighbors of vertices, ascending, as
+        is_maximal_clique returns them; a caller that already holds them
+        skips the second scan.
+        """
         base = sorted(set(vertices))
-        pool = self.common_neighbors(base)
         if len(pool) <= exact_budget:
             method, clique = "exact", self._extend_exact(base, pool)
         else:
@@ -314,9 +328,10 @@ class CayleyGraph:
             if size == seed.bit_count():
                 best = seed
             else:
-                # The bound only cuts branches that cannot reach `size`, and
-                # the colourings and visit order do not depend on it, so this
-                # meets the same first size-`size` clique as an unbounded run.
+                # The bound, and every prune it enables, only skips branches
+                # that cannot reach `size`; the colourings and visit order do
+                # not depend on it, so this meets the same first size-`size`
+                # clique as an unbounded run.
                 best = maximum_clique(masks, bound=size - 1, stop_at=size)
         chosen = [pool[i] for i in _bits(best)]
         return sorted(base + chosen)
@@ -423,10 +438,14 @@ class CayleyGraph:
         O_{i-1}.  So the answer is the largest 1 + omega of N(w_i) minus
         the earlier orbits, and each subproblem only has to beat the best
         size so far.
+
+        That holds for any order of the orbits; they are taken largest
+        first (a stable sort, so ties keep their given order), which takes
+        the most vertices out of every later subproblem.
         """
         best = lower
         free = np.ones(len(adjacency), dtype=bool)  # outside finished orbits
-        for orbit in orbits:
+        for orbit in sorted(orbits, key=len, reverse=True):
             if np.count_nonzero(free) <= best:
                 break
             sub = np.flatnonzero(adjacency[orbit[0]] & free)
@@ -438,12 +457,43 @@ class CayleyGraph:
         return best
 
     def _induced_adjacency(self, vertices: np.ndarray) -> np.ndarray:
-        """Boolean adjacency matrix of the subgraph induced on vertices."""
-        rows = np.empty((len(vertices), len(vertices)), dtype=bool)
-        for i, v in enumerate(vertices):
-            rows[i] = self._member_mask(self.table.sub_many(vertices, int(v)))
-            rows[i, i] = False
+        """Boolean adjacency matrix of the subgraph induced on distinct vertices.
+
+        Built by the pair kernel in row blocks of about _PAIR_BLOCK pairs,
+        so the index temporaries stay small next to the matrix itself.  The
+        diagonal is False because u - u = 0 is not in S.
+        """
+        n = len(vertices)
+        rows = np.empty((n, n), dtype=bool)
+        step = _rows_per_block(n)
+        for lo in range(0, n, step):
+            rows[lo : lo + step] = self._pair_adjacency(vertices[lo : lo + step], vertices)
         return rows
+
+    def _pair_adjacency(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Matrix of u - v in S for u in us (rows) and v in vs (columns).
+
+        The log-domain pair kernel: -v = g^(log v + (q-1)/2), so for u != 0
+        u - v = g^(log u) (1 + g^(log v + (q-1)/2 - log u)) = g^(log u + z)
+        with z = zech[(log v + (q-1)/2 - log u) mod (q-1)], and the pair is
+        adjacent when z >= 0 (z = -1 is u = v) and (log u + z) mod d lies in
+        J.  One zech read per pair; no exp gather and no second log gather.
+        A row or column for code 0 takes the membership of the other vertex,
+        since 0 - v = -v and S = -S.
+        """
+        t, d = self.table, self.d
+        lu = t.log[us].astype(np.int64)[:, None]
+        lv = t.log[vs].astype(np.int64)
+        # Both terms lie in [0, q-1), so one conditional subtraction reduces.
+        at = lv + (t.qm1 // 2 - lu) % t.qm1
+        at -= t.qm1 * (at >= t.qm1)
+        z = t.zech[at]
+        cls = lu % d + z
+        cls -= cls // d * d  # numpy divides by a scalar faster than it takes `%`
+        adj = (z >= 0) & self._j_lut[cls]
+        adj[us == 0] = self._member_mask(vs)
+        adj[:, vs == 0] = self._member_mask(us)[:, None]
+        return adj
 
     def clique_number(self, *, cap: int = 4096) -> int:
         """Exact clique number; vertex-transitivity roots the search at 0."""
@@ -516,6 +566,14 @@ def make_graph(table: FieldTable, kind: GraphKind) -> CayleyGraph:
     return CayleyGraph(table, kind)
 
 
+_PAIR_BLOCK = 1 << 14  # pairs per row block of the pair kernel
+
+
+def _rows_per_block(n: int) -> int:
+    """Rows of an n-column pair-kernel block holding about _PAIR_BLOCK pairs."""
+    return max(1, _PAIR_BLOCK // max(n, 1))
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -545,11 +603,20 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
     pivot rule strengthened to a greedy coloring: candidates expand in
     color order and a branch is cut when R plus its color bound cannot
     beat the incumbent.  Vertices are relabeled in degeneracy order first,
-    which keeps the colorings tight.  Color classes numbered at most
+    which keeps the colorings tight.
+
+    Three further bounds only prune: each skips work that provably holds
+    no clique above the incumbent, so the search visits a subset of the
+    nodes of the plain color-bound search, in the same order, and
+    returns the same mask.  Color classes numbered at most kmin =
     best - |R| are colored but never listed, since no later gain of the
     incumbent can let them pass the cut (the "kmin" of San Segundo's
-    bitset BBMC, 2011); the nodes visited, and their order, are those of
-    a search that lists them.
+    bitset BBMC, 2011); the coloring stops, and the node returns, once
+    the uncolored candidates could not reach a class above kmin.  A branch
+    on v at the boundary color (|R| + color = best + 1) needs a clique
+    with one vertex in each lower class; it is skipped when N(v) fits into
+    one class fewer (the Re-NUMBER test of Tomita et al.'s MCS, J. Global
+    Optim. 2010; see _fits_fewer_classes).
 
     bound is a clique size known to be reachable: only larger cliques are
     sought, and 0 comes back when there is none.  The incumbent changes
@@ -564,6 +631,8 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
     order = _degeneracy_order(adjacency)
     order.reverse()  # densest core gets the low labels
     relabeled = _row_masks(adjacency[np.ix_(order, order)])
+    # Coloring v closes it and its neighbors to the open class: one AND.
+    closed = [~(nb | 1 << v) for v, nb in enumerate(relabeled)]
 
     best_mask = 0
     best_size = bound
@@ -577,32 +646,38 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
         kmin = best_size - r_size
         order_v: list[int] = []
         bound_v: list[int] = []
-        color = 0
+        classes: list[int] = []  # classes[c - 1]: the vertices colored c
         rem = p_mask
         while rem:
-            color += 1
-            avail = rem
+            color = len(classes) + 1
+            avail, before = rem, rem
             if color <= kmin:
+                if rem.bit_count() <= kmin - color + 1:
+                    return  # every class left would be numbered <= kmin
                 while avail:
                     low = avail & -avail
-                    avail &= ~(relabeled[low.bit_length() - 1] | low)
+                    avail &= closed[low.bit_length() - 1]
                     rem ^= low
-                continue
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                order_v.append(v)
-                bound_v.append(color)
-                avail &= ~(relabeled[v] | low)
-                rem ^= low
+            else:
+                while avail:
+                    low = avail & -avail
+                    v = low.bit_length() - 1
+                    order_v.append(v)
+                    bound_v.append(color)
+                    avail &= closed[v]
+                    rem ^= low
+            classes.append(before ^ rem)
         for i in range(len(order_v) - 1, -1, -1):
-            if r_size + bound_v[i] <= best_size:
+            color = bound_v[i]
+            if r_size + color <= best_size:
                 return
             v = order_v[i]
             vbit = 1 << v
             new_p = p_mask & relabeled[v]
             if new_p:
-                expand(r_mask | vbit, r_size + 1, new_p)
+                if (r_size + color > best_size + 1
+                        or not _fits_fewer_classes(new_p, classes[: color - 1], relabeled)):
+                    expand(r_mask | vbit, r_size + 1, new_p)
             elif r_size + 1 > best_size:
                 best_mask, best_size = r_mask | vbit, r_size + 1
                 if stop_at is not None and best_size >= stop_at:
@@ -617,6 +692,27 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
     for i in _bits(best_mask):
         out |= 1 << order[i]
     return out
+
+
+def _fits_fewer_classes(cand: int, classes: list[int], neighbors: list[int]) -> bool:
+    """Can cand, which lies inside the union of the color classes, be
+    colored with one class fewer?
+
+    Yes when cand misses a class, or meets some class i in one vertex u
+    that has no neighbor in cand inside some other class j: u then joins
+    class j and class i is empty (Re-NUMBER).  A clique in cand has at
+    most one vertex per class, so it is then smaller than len(classes).
+    """
+    hits = [cls & cand for cls in classes]
+    for i, hit in enumerate(hits):
+        if hit & (hit - 1):
+            continue  # two or more vertices of class i
+        if not hit:
+            return True
+        adjacent = cand & neighbors[hit.bit_length() - 1]
+        if any(not other & adjacent for j, other in enumerate(hits) if j != i):
+            return True
+    return False
 
 
 def _row_masks(adjacency: np.ndarray) -> list[int]:

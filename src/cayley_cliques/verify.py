@@ -230,7 +230,7 @@ def verify_case(
         maximal, wits = graph.is_maximal_clique(subfield)
         witnesses = tuple(wits)
         if not maximal:
-            ext = graph.extend_to_maximal_clique(subfield, exact_budget=exact_budget)
+            ext = graph._extend(subfield, wits, exact_budget)
             ext_size = len(ext.clique)
             ext_method = ext.method
 

@@ -32,7 +32,8 @@ from cayley_cliques import (
     make_graph,
     maximum_clique,
 )
-from cayley_cliques.cayley import _bits, _degeneracy_order, _row_masks, _unpack_masks
+from cayley_cliques import cayley
+from cayley_cliques.cayley import _bits, _degeneracy_order, _row_masks, _rows_per_block, _unpack_masks
 
 # ---------------------------------------------------------------------------
 # kinds
@@ -142,6 +143,40 @@ def test_is_clique_matches_pairwise_adjacency(data):
     vs = sorted(vertices)
     expected = all(graph.adjacent(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
     assert graph.is_clique(vertices) == expected
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 4), (3, 6)])
+def test_pair_kernel_matches_pairwise_adjacency(graphs, p, e):
+    """The log-domain pair kernel against adjacent(u, v), pair by pair, on
+    random vertex sets that contain 0, in random order.  From GF(5^4) on,
+    the 200-vertex set spans three row blocks."""
+    rng = random.Random(p**e)
+    q = p**e
+    assert _rows_per_block(200) < 200
+    for kind in (GraphKind.paley(2), GraphKind.peisert(4)):
+        graph = graphs(p, e, kind)
+        for size in (1, 2, 40, min(q, 200)):
+            vs = [0] + rng.sample(range(1, q), size - 1)
+            rng.shuffle(vs)
+            expected = np.array([[u != v and graph.adjacent(u, v) for v in vs] for u in vs], dtype=bool)
+            vertices = np.array(vs, dtype=np.int64)
+            assert np.array_equal(graph._induced_adjacency(vertices), expected), (kind, size)
+            # Rows and columns from different sets.
+            assert np.array_equal(graph._pair_adjacency(vertices[:7], vertices), expected[:7])
+            assert np.array_equal(graph._pair_adjacency(vertices, vertices[-5:]), expected[:, -5:])
+
+
+def test_is_clique_row_blocks_cover_every_pair(gf625, monkeypatch):
+    """With blocks of two rows, F_25 plus any one code is a clique exactly
+    when the code is adjacent to all of F_25, wherever it sorts."""
+    graph = make_graph(gf625, GraphKind.paley(2))
+    subfield = gf625.subfield_elements(2)
+    monkeypatch.setattr(cayley, "_PAIR_BLOCK", 64)
+    assert _rows_per_block(len(subfield) + 1) == 2
+    assert graph.is_clique(subfield)
+    for x in range(gf625.q):
+        expected = x in subfield or all(graph.adjacent(x, f) for f in subfield)
+        assert graph.is_clique(subfield + (x,)) == expected, x
 
 
 # ---------------------------------------------------------------------------
@@ -527,21 +562,43 @@ def test_non_subfield_base_takes_the_whole_pool_search(gpstar81_4):
     assert report.clique == _reference_extension(gpstar81_4, base)
 
 
+def _networkx_omega(graph, pool) -> int:
+    """Clique number of the pool by networkx, from scalar adjacency."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(pool)
+    nxg.add_edges_from((u, v) for i, u in enumerate(pool) for v in pool[i + 1:]
+                       if graph.adjacent(u, v))
+    return nx.max_weight_clique(nxg, weight=None)[1]
+
+
 @pytest.mark.parametrize("p,e,r,kind", NX_CASES, ids=_case_id)
 def test_extension_size_matches_networkx_on_witness_pools(graphs, p, e, r, kind):
     graph = graphs(p, e, kind)
     base = graph.table.subfield_elements(r)
     pool = graph.common_neighbors(base)
-    nxg = nx.Graph()
-    nxg.add_nodes_from(pool)
-    nxg.add_edges_from((u, v) for i, u in enumerate(pool) for v in pool[i + 1:]
-                       if graph.adjacent(u, v))
-    _, omega = nx.max_weight_clique(nxg, weight=None)
+    omega = _networkx_omega(graph, pool)
     assert len(graph.extend_to_maximal_clique(base).clique) == len(base) + omega
     # The orbit search alone, with no greedy seed to fall back on.
     vertices = np.array(pool, dtype=np.int64)
     orbits = graph._pool_orbits(list(base), vertices)
     assert CayleyGraph._orbit_clique_size(graph._induced_adjacency(vertices), orbits, 0) == omega
+
+
+@pytest.mark.parametrize("p,e,r,kind", NX_CASES, ids=_case_id)
+def test_orbit_clique_size_does_not_depend_on_the_orbit_order(graphs, p, e, r, kind):
+    """The networkx clique number for the orbits in given, reversed and
+    largest-first order, from no seed and from a seed one below it."""
+    graph = graphs(p, e, kind)
+    base = list(graph.table.subfield_elements(r))
+    pool = graph.common_neighbors(base)
+    omega = _networkx_omega(graph, pool)
+    vertices = np.array(pool, dtype=np.int64)
+    adjacency = graph._induced_adjacency(vertices)
+    orbits = graph._pool_orbits(base, vertices)
+    largest_first = sorted(orbits, key=len, reverse=True)
+    for ordered in (orbits, orbits[::-1], largest_first):
+        for lower in (0, omega - 1):
+            assert CayleyGraph._orbit_clique_size(adjacency, ordered, lower) == omega
 
 
 def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81):
@@ -684,10 +741,35 @@ def _uncut_maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | N
     return out
 
 
-def test_colour_class_cut_leaves_the_search_unchanged(graphs):
+def _first_orbit_subproblem(graph, r: int) -> tuple[list[int], int]:
+    """The first rooted subproblem _orbit_clique_size searches for the
+    subfield F_{p^r}: N(w) in the witness pool, for w the smallest member
+    of the largest orbit, and the bound it is asked to beat."""
+    base = list(graph.table.subfield_elements(r))
+    pool = np.array(graph.common_neighbors(base), dtype=np.int64)
+    adjacency = graph._induced_adjacency(pool)
+    orbit = max(graph._pool_orbits(base, pool), key=len)
+    sub = np.flatnonzero(adjacency[orbit[0]])
+    seed = len(graph._extend_greedy(base, pool.tolist())) - len(base)
+    return _row_masks(adjacency[np.ix_(sub, sub)]), seed - 1
+
+
+def test_colour_class_cut_leaves_the_search_unchanged(graphs, monkeypatch):
     """Same mask as the uncut search, so the same first optimum-size clique,
     for seeded bounds below, at and above the clique number, with and
-    without stop_at."""
+    without stop_at.
+
+    Beyond the corpus and the GF(3^6) witness pools, dense random graphs
+    (where the Re-NUMBER skip fires) and the first orbit subproblem of
+    GP*(15625,62) (343 vertices, asked to beat 19 = its clique number).
+    """
+    fits_fewer_classes = cayley._fits_fewer_classes
+    renumbered = []
+
+    def counted(*args):
+        renumbered.append(fits_fewer_classes(*args))
+        return renumbered[-1]
+    monkeypatch.setattr(cayley, "_fits_fewer_classes", counted)
     rng = random.Random(61)
     cases = [neighbors for _, neighbors in corpus()]
     for p, e, r, kind in ORBIT_CASES:
@@ -695,6 +777,11 @@ def test_colour_class_cut_leaves_the_search_unchanged(graphs):
             graph = graphs(p, e, kind)
             pool = np.array(graph.common_neighbors(graph.table.subfield_elements(r)), dtype=np.int64)
             cases.append(_row_masks(graph._induced_adjacency(pool)))
+    dense = [_random_graph(n, density, rng)
+             for n, density in [(40, 0.9), (60, 0.8), (80, 0.7), (100, 0.6), (150, 0.5), (150, 0.6)]]
+    subproblem, bound = _first_orbit_subproblem(graphs(5, 6, GraphKind.peisert(62)), 1)
+    assert (len(subproblem), bound) == (343, 19)
+    cases += dense + [subproblem]
     for neighbors in cases:
         omega = maximum_clique(neighbors).bit_count()
         assert _uncut_maximum_clique(neighbors).bit_count() == omega
@@ -702,9 +789,11 @@ def test_colour_class_cut_leaves_the_search_unchanged(graphs):
         for _ in range(4):
             bound = rng.randrange(omega + 1)
             runs.append((bound, rng.choice([None, rng.randint(bound + 1, omega + 1)])))
+        runs += [(omega + 1, None), (max(omega - 2, 0), omega), (max(omega - 1, 0), omega + 1)]
         for bound, stop_at in runs:
             assert (maximum_clique(neighbors, bound, stop_at)
                     == _uncut_maximum_clique(neighbors, bound, stop_at)), (bound, stop_at)
+    assert any(renumbered) and not all(renumbered)
 
 
 def test_maximum_clique_result_is_a_clique():

@@ -107,6 +107,22 @@ def test_gpstar81_4_is_a_below_threshold_counterexample():
     assert len(report.witnesses) == 12
 
 
+def test_verify_case_scans_the_witness_pool_once(monkeypatch):
+    """One common-neighbour scan for F's pool, which the extension reuses,
+    and one for the leftover check on the extended clique."""
+    scanned = []
+    common_neighbors = CayleyGraph.common_neighbors
+
+    def recorded(self, vertices):
+        found = common_neighbors(self, vertices)
+        scanned.append((len(set(vertices)), len(found)))
+        return found
+    monkeypatch.setattr(CayleyGraph, "common_neighbors", recorded)
+    report = verify_case(make_case(5, 1, 6, 62, "peisert"))
+    assert report.extended_clique_size == 25
+    assert scanned == [(5, 680), (25, 0)]
+
+
 def test_nested_subfield_clique_is_vacuous():
     # in GP(81,10) the subfield F_9 is a clique, so F_3 is not maximal
     # among subfield cliques and the theorem says nothing about it
