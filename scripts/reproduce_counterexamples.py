@@ -12,9 +12,10 @@ x -> x^(p^k) that fix the connection set, and the number of orbits of W
 under the semilinear group they generate, as the exact extension finds
 them: it runs one rooted subproblem per orbit.
 
-A --max-order the sweep cannot take (past the 2^24 field cap, or not below
-2^31) gets one "error:" line on stderr and exit status 2 before anything
-runs; status 1 is kept for a wrong extension size or a VIOLATION.
+A --max-order the sweep cannot take (negative, past the 2^24 field cap,
+or not below 2^31) gets one "error:" line on stderr and exit status 2
+before anything runs; status 1 is kept for a wrong extension size or a
+VIOLATION.
 """
 
 import argparse

@@ -22,14 +22,16 @@ F), and they act on it without fixed points.  The Frobenius maps
 x -> x^(p^k) fix F, and they fix S whenever p^k J = J (mod d), which for
 the Paley kind is every k.  Together they form a semilinear group G'
 inside AGammaL(1, q), which by Lim and Praeger (Michigan Math. J. 2009)
-holds the automorphisms of generalized Paley graphs in most cases; its
-orbits on W need not be free.  Take the orbits in any fixed order: every
-maximum clique of W can be moved onto one through the smallest member of
-an orbit, avoiding all orbits taken before it.  So the search runs one
-rooted subproblem per orbit (vertex-rooted branch and bound, as in Tomita
-et al., J. Global Optim. 2010), each only asked to beat the best size so
-far, and takes the largest orbits first, since removing them shrinks
-every later subproblem the most.
+holds the automorphisms of generalized Paley graphs in most cases.  Its
+orbits on W, the connected components of at most r + 2 generator
+permutations of W for F = F_{p^r} (see _pool_orbits), need not be free.
+Take the orbits in any fixed order: every maximum clique of W can be
+moved onto one through the smallest member of an orbit, avoiding all
+orbits taken before it.  So the search runs one rooted subproblem per
+orbit (vertex-rooted branch and bound, as in Tomita et al., J. Global
+Optim. 2010), each only asked to beat the best size so far, and takes the
+largest orbits first, since removing them shrinks every later subproblem
+the most.
 """
 
 from __future__ import annotations
@@ -301,12 +303,12 @@ class CayleyGraph:
     def _extend_exact(self, base: list[Element], pool: list[Element]) -> list[Element]:
         """Base plus a maximum clique of its witness pool W, ascending.
 
-        When the base is a subfield F, the maximum clique size comes from one
-        rooted subproblem per orbit of W under x -> u x^(p^k) + f (see
-        _pool_orbits); otherwise from one search over all of W.  Either way
-        the clique returned is the one a single search of W seeded with the
-        greedy extension returns: the seed when nothing beats it, else the
-        first clique of the optimum size that search meets.
+        The maximum clique size comes from one rooted subproblem per orbit of
+        W (see _pool_orbits: under x -> u x^(p^k) + f when the base is a
+        subfield F, else single witnesses).  The clique returned is the one
+        a single search of W seeded with the greedy extension returns: the
+        seed when nothing beats it, else the first clique of the optimum
+        size that search meets.
         """
         if not pool:
             return list(base)
@@ -320,19 +322,15 @@ class CayleyGraph:
             low = cand & -cand
             seed |= low
             cand &= masks[low.bit_length() - 1]
-        orbits = self._pool_orbits(base, vertices)
-        if orbits is None:
-            best = maximum_clique(masks, bound=seed.bit_count()) or seed
+        size = self._orbit_clique_size(adjacency, self._pool_orbits(base, vertices), seed.bit_count())
+        if size == seed.bit_count():
+            best = seed
         else:
-            size = self._orbit_clique_size(adjacency, orbits, seed.bit_count())
-            if size == seed.bit_count():
-                best = seed
-            else:
-                # The bound, and every prune it enables, only skips branches
-                # that cannot reach `size`; the colourings and visit order do
-                # not depend on it, so this meets the same first size-`size`
-                # clique as an unbounded run.
-                best = maximum_clique(masks, bound=size - 1, stop_at=size)
+            # The bound, and every prune it enables, only skips branches
+            # that cannot reach `size`; the colourings and visit order do
+            # not depend on it, so this meets the same first size-`size`
+            # clique as an unbounded run.
+            best = maximum_clique(masks, bound=size - 1, stop_at=size)
         chosen = [pool[i] for i in _bits(best)]
         return sorted(base + chosen)
 
@@ -350,81 +348,59 @@ class CayleyGraph:
         return [k for k in range(self.table.e)
                 if np.array_equal(lut[classes * pow(p, k, self.d) % self.d], lut)]
 
-    def _pool_orbits(self, base: list[Element], vertices: np.ndarray) -> list[np.ndarray] | None:
-        """Orbits of the witness pool under the semilinear group G', or None if base is no subfield.
+    def _pool_orbits(self, base: list[Element], vertices: np.ndarray) -> list[np.ndarray]:
+        """Orbits of the witness pool under the semilinear group G'.
 
         For base = F_{p^r}, step = (q-1)/(p^r-1) and L = lcm(step, d): g^L
         lies in F* and in class 0 mod d, so G = {x -> ux + f : u in <g^L>,
         f in F} fixes F and S and maps the pool onto itself.  With u != 1 it
         fixes only a point of F, which the pool avoids, so G acts freely:
-        the pool splits into slices G w of |G| elements each, read in the
-        log domain as exp[(log w + multiples of L) mod (q-1)] + f.  The
-        Frobenius maps x -> x^(p^k), k in K (see _frobenius_powers), fix F
-        and S too and normalise G, so each maps every slice onto a whole
-        slice.  An orbit of G' = {x -> u x^(p^k) + f : k in K} is the union
-        of the slices it permutes: |G| times a divisor of |K| elements, not
-        always a free orbit.  Orbits are pool-index arrays, ordered by their
-        smallest member, which comes first.
+        its orbits have |G| = p^r (q-1)/L elements.  x -> g^L x and the
+        translations by theta^i, i < r, for theta = g^step (an F_p-basis of
+        F) generate G; the Frobenius map x -> x^(p^k0), k0 the smallest
+        positive member of K (see _frobenius_powers; K is a subgroup of
+        Z_E), joins them to generate G' = {x -> u x^(p^k) + f : k in K}.
+        The orbits are the connected components of these permutations of
+        the pool, |G| times a divisor of |K| elements, not always free.
+        They are pool-index arrays, ordered by their smallest member, which
+        comes first.  A base that is no subfield has single-witness orbits.
 
-        A slice image outside the pool, inside an earlier slice or with
-        repeats, a slice that misses its own witness, and a Frobenius image
-        that leaves the pool or splits a slice raise InvariantError.
+        A generator image outside the pool or hit twice, and a G-orbit not
+        of |G| elements, raise InvariantError.
         """
-        t = self.table
+        t, n = self.table, len(vertices)
+        label = np.arange(n)
         r = self._subfield_within(base)
-        if r is None or t.p**r != len(base):
-            return None
-        shifts = np.arange(0, t.qm1, math.lcm(t.subfield_step(r), self.d))
-        n = len(vertices)
-        slice_of = np.full(n, -1, dtype=np.int64)
-        roots = []
-        for i in range(n):
-            if slice_of[i] >= 0:
-                continue
-            scaled = t.exp[(t.log_view[vertices[i]] + shifts) % t.qm1]
-            images = np.concatenate([t.add_many(scaled, f) for f in base])
+        if n == 0 or r is None or t.p**r != len(base):
+            return list(label[:, None])
+
+        def permutation(name: str, images: np.ndarray) -> np.ndarray:
             at = np.searchsorted(vertices, images).clip(max=n - 1)
-            if (
-                not np.array_equal(vertices[at], images)
-                or (slice_of[at] >= 0).any()
-                or np.unique(at).size != at.size
-                or i not in at
-            ):
-                raise InvariantError(
-                    f"x -> ux + f over F_{{{t.p}^{r}}} does not map the orbit of witness "
-                    f"{int(vertices[i])} onto {images.size} free pool elements: corrupt tables"
-                )
-            slice_of[at] = len(roots)
-            roots.append(i)
-        # perms[k][s]: the slice that x -> x^(p^k) maps slice s onto.
+            at[vertices[at] != images] = n  # outside the pool
+            bad = (at == n) | (np.bincount(at)[at] > 1)
+            if bad.any():
+                raise InvariantError(f"{name} over F_{{{t.p}^{r}}} does not permute the witness pool "
+                                     f"at witness {int(vertices[np.argmax(bad)])}: corrupt tables")
+            return at
+
+        step = t.subfield_step(r)
+        period = math.lcm(step, self.d)
         logs = t.log[vertices].astype(np.int64)
-        perms = []
-        for k in self._frobenius_powers():
+        gens = [permutation(f"x -> g^{period} x", t.exp[(logs + period) % t.qm1])]
+        basis = map(int, t.exp[: step * r : step])  # theta^i for i < r
+        gens += [permutation(f"x -> x + {f}", t.add_many(vertices, f)) for f in basis]
+        label = _min_labels(gens, label)
+        size = t.p**r * t.qm1 // period
+        wrong = np.bincount(label)[label] != size
+        if wrong.any():
+            w = int(vertices[np.argmax(wrong)])
+            raise InvariantError(f"the orbit of witness {w} under x -> ux + f over F_{{{t.p}^{r}}} "
+                                 f"does not have |G| = {size} elements: corrupt tables")
+        for k in self._frobenius_powers()[1:2]:
             images = t.exp[logs * pow(t.p, k, t.qm1) % t.qm1]
-            at = np.searchsorted(vertices, images).clip(max=n - 1)
-            if not np.array_equal(vertices[at], images) or np.unique(at).size != n:
-                raise InvariantError(
-                    f"x -> x^({t.p}^{k}) does not permute the witness pool: corrupt tables"
-                )
-            target = slice_of[at]
-            moved = target[roots]
-            split = np.flatnonzero(target != moved[slice_of])
-            if split.size:
-                w = int(vertices[roots[slice_of[split[0]]]])
-                raise InvariantError(
-                    f"x -> x^({t.p}^{k}) splits the slice of witness {w} over F_{{{t.p}^{r}}}: "
-                    "corrupt tables"
-                )
-            perms.append(moved)
-        # Label each slice by the first slice it can be moved onto; K is a
-        # group, so the labelled classes must be closed under every map.
-        perms = np.array(perms)
-        label = perms.min(axis=0)
-        if (label[perms] != label).any():
-            raise InvariantError(
-                f"x -> x^(p^k) over F_{{{t.p}^{r}}} does not permute the slices as a group: corrupt tables"
-            )
-        return [np.flatnonzero(label[slice_of] == s) for s in range(len(roots)) if label[s] == s]
+            label = _min_labels([permutation(f"x -> x^({t.p}^{k})", images)], label)
+        order = np.argsort(label, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
     @staticmethod
     def _orbit_clique_size(adjacency: np.ndarray, orbits: list[np.ndarray], lower: int) -> int:
@@ -572,6 +548,18 @@ _PAIR_BLOCK = 1 << 14  # pairs per row block of the pair kernel
 def _rows_per_block(n: int) -> int:
     """Rows of an n-column pair-kernel block holding about _PAIR_BLOCK pairs."""
     return max(1, _PAIR_BLOCK // max(n, 1))
+
+
+def _min_labels(perms: list[np.ndarray], label: np.ndarray) -> np.ndarray:
+    """Smallest index joined to each i by the permutations; label[i] <= i starts joined to i."""
+    while True:
+        before, label = label, label.copy()
+        for at in perms:  # labels flow both ways, then one pointer jump
+            np.minimum(label, label[at], out=label)
+            label[at] = np.minimum(label[at], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
 def _bits(mask: int):

@@ -307,6 +307,8 @@ class SweepConfig:
             raise ValueError("n_min must be >= 2")
         if self.n_max < self.n_min:
             raise ValueError("n_max must be >= n_min")
+        if self.max_order < 0:
+            raise ValueError(f"max_order must be >= 0, got {self.max_order}")
         if self.max_order >= MAX_FIELD:
             raise ValueError(f"max_order {self.max_order} is not below the table limit 2^31")
         if self.max_order > self.cap:

@@ -525,6 +525,10 @@ def test_pool_orbits_partition_the_pool_into_free_orbits(graphs, p, e, r, kind):
         assert len(orbit) % group_order == 0
         assert group_order * len(ks) % len(orbit) == 0
         members = {int(pool[i]) for i in orbit}
+        # The whole G'-orbit of the first member, so no two orbits merged.
+        first = int(pool[orbit[0]])
+        closure = {t.add(t.mul(u, t.pow(first, p**k)), f) for k in ks for u in units for f in base}
+        assert closure == members
         for x in members:
             affine = {t.add(t.mul(u, x), f) for u in units for f in base}
             assert len(affine) == group_order  # free
@@ -554,10 +558,12 @@ def test_frobenius_powers_match_a_brute_force_scan(graphs, p, e):
 
 
 def test_non_subfield_base_takes_the_whole_pool_search(gpstar81_4):
+    """A base that is no subfield has single witnesses as its orbits."""
     base = [0, 9]
     assert gpstar81_4.is_clique(base)
     pool = np.array(gpstar81_4.common_neighbors(base), dtype=np.int64)
-    assert gpstar81_4._pool_orbits(base, pool) is None
+    orbits = gpstar81_4._pool_orbits(base, pool)
+    assert [orbit.tolist() for orbit in orbits] == [[i] for i in range(len(pool))]
     report = gpstar81_4.extend_to_maximal_clique(base)
     assert report.clique == _reference_extension(gpstar81_4, base)
 
@@ -605,16 +611,15 @@ def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81):
     log = gf81.log.copy()
     log[12] = (log[12] + 40) % 80  # the log of -12: same class, so 12 stays a witness
     graph = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
-    with pytest.raises(InvariantError, match="orbit of witness 12"):
+    with pytest.raises(InvariantError, match="does not permute the witness pool at witness 12"):
         graph.extend_to_maximal_clique((0, 1, 2))
 
 
 def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81):
-    # In GP*(81,4) the pool is two <g^L> x| F slices, {9,10,11,18,19,20}
+    # In GP*(81,4) the pool is two <g^L> x| F orbits, {9,10,11,18,19,20}
     # and {12,13,14,24,25,26}, which x -> x^9 swaps.  Swapping the logs of
-    # 10 and 13 (neither read by the slice scan, which only takes the logs
-    # of its witnesses 9 and 12 and their multiples by <g^L> = {1, -1})
-    # keeps x^9 a permutation of the pool but splits both slices.
+    # 10 and 13 keeps x^9 a permutation of the pool, but the Zech table
+    # built from the swapped logs sends 26 + 1 out of the pool.
     graph = make_graph(gf81, GraphKind.peisert(4))
     base = [0, 1, 2]
     pool = np.array(graph.common_neighbors(base), dtype=np.int64)
@@ -622,8 +627,27 @@ def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81):
     log = gf81.log.copy()
     log[[10, 13]] = log[[13, 10]]
     corrupt = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
-    with pytest.raises(InvariantError, match="splits the slice of witness 9"):
+    with pytest.raises(InvariantError, match="does not permute the witness pool at witness 26"):
         corrupt._pool_orbits(base, pool)
+
+
+def test_merged_g_orbits_are_an_invariant_error(monkeypatch):
+    """x -> x + 1 still permutes the GP*(81,4) pool but trades the images of
+    9 and 12, which joins its two <g^L> x| F orbits into one of 12."""
+    table = build_field(3, 4)
+    graph = make_graph(table, GraphKind.peisert(4))
+    base = [0, 1, 2]
+    pool = np.array(graph.common_neighbors(base), dtype=np.int64)
+    add_many = table.add_many
+
+    def crossed(codes, c):
+        out = add_many(codes, c)
+        if c == 1:
+            out[[0, 3]] = out[[3, 0]]
+        return out
+    monkeypatch.setattr(table, "add_many", crossed)
+    with pytest.raises(InvariantError, match=r"orbit of witness 9 .* \|G\| = 6 elements"):
+        graph._pool_orbits(base, pool)
 
 
 def test_orbit_invariance_check_survives_optimize():
@@ -649,7 +673,7 @@ def test_orbit_invariance_check_survives_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "orbit of witness 12" in done.stdout
+    assert "does not permute the witness pool at witness 12" in done.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,13 @@ def test_sweep_beyond_2_to_the_31_exits_2_before_enumerating(capsys, monkeypatch
     assert code == 2 and "2^31" in err
 
 
+def test_sweep_with_a_negative_max_order_exits_2_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "primerange", None)  # enumerating would raise, not exit 2
+    code, out, err = run(capsys, "sweep", "--max-order", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "max_order" in err
+
+
 def test_theorem1_sweep_past_the_table_limit_exits_2_before_sweeping():
     # n = 7 needs max order 36^7 > 2^31; n = 2..6 must not be swept first.
     root = Path(__file__).parents[1]
@@ -285,10 +292,11 @@ def test_theorem1_sweep_past_the_table_limit_exits_2_before_sweeping():
     assert done.stderr.startswith("error: ") and "2^31" in done.stderr
 
 
-@pytest.mark.parametrize("max_order", [str(10**8), str(3 * 10**9)])
+@pytest.mark.parametrize("max_order", [str(10**8), str(3 * 10**9), "-3"])
 def test_reproduce_counterexamples_past_the_field_cap_exits_2_before_running(max_order):
-    # 10^8 is past the 2^24 cap and 3*10^9 not below 2^31; the pinned cases
-    # must not run first, and exit 1 stays for a wrong size or a VIOLATION.
+    # 10^8 is past the 2^24 cap, 3*10^9 not below 2^31 and -3 negative; the
+    # pinned cases must not run first, and exit 1 stays for a wrong size or
+    # a VIOLATION.
     root = Path(__file__).parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(root / "scripts" / "reproduce_counterexamples.py"),
@@ -297,6 +305,7 @@ def test_reproduce_counterexamples_past_the_field_cap_exits_2_before_running(max
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "max_order" in done.stderr
     assert "Traceback" not in done.stderr
 
 
