@@ -19,12 +19,27 @@ vectors compared from the constant term upward; irreducibility in GF(p)[x]
 is Ben-Or's test, "Probabilistic algorithms in finite fields", FOCS 1981)
 and the primitive root is the generator with the smallest code.  Two runs
 over the same (p, e) therefore produce identical tables.
+
+The tables come from the factorisation F* = F_p* x {monic codes}.  A
+constant scales each base-p digit mod p, so with s = (q-1)/(p-1) and
+c = g^s in F_p*, g^(js+i) = c^j ⊙ g^i: exp is built by the doubling
+kernel for g^0..g^s and the powers of c only, every other row of s
+entries being the first one scaled digitwise (_build_exp).  log is
+scattered only for the codes below lim = max(2T, p), T = p^(e-1), that
+is the units with top digit 0 or 1; the log of every other code aT + l
+is log a plus the log of the monic code a^(-1) ⊙ (aT + l) in [T, 2T), a
+gather from that block (_build_log).  So a random write into log is
+paid 2T - 1 times, not q - 1; for e = 1, lim = q and both steps reduce
+to the kernel and one full scatter.  The order certificate, exactly
+lim - 1 entries of exp below lim covering [1, lim), makes exp a
+bijection onto the units and log its inverse (proof in build_field).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,19 +223,21 @@ def _smallest_generator(p: int, e: int, q: int, modulus: tuple[int, ...]) -> int
     reduced below p, so every sum is at most e * (p-1)^2 < 2^63 for q < 2^31.
     """
     exponents = [(q - 1) // ell for ell in sorted(set(factorize(q - 1)))]
-    bits = np.array([[k >> j & 1 for k in exponents] for j in range(max(exponents).bit_length())],
-                    dtype=bool)  # bits[j, l]: bit j of exponent l
+    # selected[j]: the exponents with bit j set, a Python list, so an empty
+    # one costs no array test
+    selected = [[i for i, k in enumerate(exponents) if k >> j & 1]
+                for j in range(max(exponents).bit_length())]
     one = np.eye(1, e, dtype=np.int64)[0]  # digits of 1
     lo, batch = (2 if e == 1 else p), 8
     while lo < q:
         codes = np.arange(lo, min(lo + batch, q), dtype=np.int64)
         square = _mul_matrices(codes, p, modulus)  # M(c)^(2^j) for the current j
         power = np.tile(one, (len(codes), len(exponents), 1))  # digits of c^(k mod 2^j)
-        for j, selected in enumerate(bits):
+        for j, chosen in enumerate(selected):
             if j:
                 square = square @ square % p
-            if selected.any():
-                power[:, selected] = power[:, selected] @ square % p
+            if chosen:
+                power[:, chosen] = power[:, chosen] @ square % p
         found = np.flatnonzero((power != one).any(axis=2).all(axis=1))
         if found.size:
             return int(codes[found[0]])
@@ -232,6 +249,7 @@ def _smallest_generator(p: int, e: int, q: int, modulus: tuple[int, ...]) -> int
 # table construction
 
 _CHUNK = 1 << 16  # elements per vectorized pass; bounds the transients
+_SEED = 64  # powers _powers takes from a stack of matrix powers
 
 
 def _mul_matrices(codes: np.ndarray, p: int, modulus: tuple[int, ...]) -> np.ndarray:
@@ -250,38 +268,54 @@ def _mul_matrices(codes: np.ndarray, p: int, modulus: tuple[int, ...]) -> np.nda
     return np.stack(rows, axis=1)
 
 
-def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
-    """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1, as int32.
+def _digit_rows(codes: np.ndarray, p: int, pow_p: np.ndarray, dtype) -> np.ndarray:
+    """The low base-p digits of int32 codes, digit-major as dtype:
+    D[i] = codes // p^i % p for i < len(pow_p) - 1, pow_p = p^0, p^1, ...
 
-    Doubling: once g^0..g^(m-1) are known, the next block is the first one
-    scaled by b = g^m, an F_p-linear map: the multiplication matrix M(b)
-    (see _mul_matrices).  Each round squares it: M(b^2) = M(b)^2.  Chunks
-    are decoded digit-major, D[i] = exp // p^i % p, and scaled as
-    sum_i M[i] D[i] in the smallest unsigned type holding its bound
-    e * (p-1)^2 (uint8 for GF(3^12)).  One reduction mod p follows, then a
-    Horner encoding in int32, every partial value below q < MAX_FIELD.
     Remainders are x - (x // p) * p: numpy divides by a scalar with a
     multiply and shift, but not in `%`.
+    """
+    quot = codes // pow_p[:, None]
+    return (quot[:-1] - quot[1:] * p).astype(dtype)
+
+
+def _powers(p: int, scale: np.ndarray, out: np.ndarray, pow_p: np.ndarray) -> None:
+    """Fill out[k] with the code of b^k in GF(p^e) for every k < len(out),
+    given the e x e multiplication matrix scale = M(b) (see _mul_matrices)
+    and pow_p = p^0, ..., p^e.  out may be a strided view.
+
+    Seed: the first min(len(out), _SEED) powers are row 0 of the matrix
+    powers M(b)^k (row 0 of M(c) holds the digits of c), doubled as a stack
+    of matrices.  A seed round costs a few numpy calls whatever e; a
+    doubling round below costs about 4e + 9, whatever its length.
+
+    Doubling: once b^0..b^(m-1) are known, the next block is the first one
+    scaled by b^m, an F_p-linear map: the matrix M(b^m).  Each round
+    squares it: M(b^2m) = M(b^m)^2.  Chunks are decoded digit-major and
+    scaled as sum_i M[i] D[i] in the smallest unsigned type holding its
+    bound e * (p-1)^2 (uint8 for GF(3^12)).  One reduction mod p follows,
+    then a Horner encoding in int32.
 
     A chunk holds _CHUNK // e rows, so its (e + 1) x rows quotients and
     e x rows digits stay near _CHUNK entries whatever e: 2^16 rows of
     GF(3^12) would need 3.4 MB of int32 quotients alone, more than a
     core's L2 cache, and every decode pass would stream from memory.
     """
-    pow_p = p ** np.arange(e + 1, dtype=np.int32)  # p^e = q < MAX_FIELD
+    e, n = len(scale), len(out)
+    powers = np.eye(e, dtype=np.int64)[None]  # M(b)^0; int64 holds e * (p-1)^2
+    while len(powers) < min(n, _SEED):
+        powers = np.concatenate([powers, powers @ scale % p])
+        scale = scale @ scale % p
+    m = min(len(powers), n)
+    out[:m] = powers[:m, 0] @ pow_p[:e]
     acc_t = np.min_scalar_type(e * (p - 1) ** 2)
-    scale = _mul_matrices(np.array([g], dtype=np.int64), p, modulus)[0]  # M(g^m), m = 1
     rows = _CHUNK // e
-    exp = np.empty(q - 1, dtype=np.int32)
-    exp[0] = 1
-    m = 1
-    while m < q - 1:
-        take = min(m, q - 1 - m)
+    while m < n:
+        take = min(m, n - m)
         coef = scale.astype(acc_t)[:, :, None]  # coef[i] scales row i of D
         for lo in range(0, take, rows):
             hi = min(lo + rows, take)
-            quot = exp[lo:hi] // pow_p[:, None]
-            digits = (quot[:-1] - quot[1:] * p).astype(acc_t)
+            digits = _digit_rows(out[lo:hi], p, pow_p, acc_t)
             acc = coef[0] * digits[0]
             for i in range(1, e):
                 acc += coef[i] * digits[i]
@@ -289,10 +323,115 @@ def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.n
             code = acc[-1]
             for i in range(e - 2, -1, -1):
                 code = code * p + acc[i]
-            exp[m + lo : m + hi] = code
+            out[m + lo : m + hi] = code
         m += take
         scale = scale @ scale % p
+
+
+def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
+    """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1, as int32.
+
+    With s = (q-1)/(p-1), c = g^s lies in F_p*, and multiplying by a
+    constant scales each base-p digit mod p, so g^(js+i) = c^j ⊙ g^i.  Read
+    as a (p-1) x s array, row j of the table is row 0 scaled digitwise by
+    c^j.  So _powers runs only for g^0..g^s and then, in GF(p), for the
+    p - 1 powers of c, the column exp[::s]; every other column is decoded
+    once per chunk and scaled, a band of rows at a time.  For e = 1, s = 1:
+    the second run is the doubling over the whole table, which is all
+    constants, and there are no other columns.  A c that is no nonzero
+    constant means broken arithmetic and raises InvariantError.
+    """
+    s = (q - 1) // (p - 1)
+    exp = np.empty(q - 1, dtype=np.int32)
+    pow_p = p ** np.arange(e + 1, dtype=np.int32)  # p^e = q < MAX_FIELD
+    _powers(p, _mul_matrices(np.array([g], dtype=np.int64), p, modulus)[0], exp[: s + 1], pow_p)
+    c = int(exp[s])
+    if not 0 < c < p:
+        raise InvariantError(f"g^{s} = {c} in GF({p}^{e}) is not a nonzero constant")
+    rows = exp.reshape(p - 1, s)
+    _powers(p, np.array([[c]]), rows[:, 0], pow_p[:2])  # M(c) in GF(p)
+    # Digits and constants share a type that holds (p-1)^2, so each product
+    # needs one reduction; the Horner encoding runs in int32, every partial
+    # value below q < MAX_FIELD.
+    mul_t = np.min_scalar_type((p - 1) ** 2)
+    width = _CHUNK // e
+    for lo in range(1, s, width):
+        hi = min(lo + width, s)
+        digits = _digit_rows(exp[lo:hi], p, pow_p, mul_t)[:, None, :]
+        band = max(1, _CHUNK // (e * (hi - lo)))
+        for j in range(1, p - 1, band):
+            scaled = digits * rows[j : j + band, :1].astype(mul_t)  # by c^j
+            scaled -= scaled // p * p
+            code = rows[j : j + band, lo:hi]
+            code[:] = scaled[-1]
+            for i in range(e - 2, -1, -1):
+                code *= p
+                code += scaled[i]
     return exp
+
+
+def _build_log(p: int, e: int, q: int, g: int, exp: np.ndarray) -> np.ndarray:
+    """The discrete-log table of exp (see build_field), log[0] = -1.
+
+    With T = p^(e-1) and lim = max(2T, p), only the exp entries below lim,
+    the units with top digit 0 or 1, are scattered into log: entries past
+    lim are clamped onto log[lim], one hot slot that the composition below
+    overwrites, so they cost no random write (for e = 1, lim = q and the
+    clamp changes nothing).  Every code aT + l with a >= 2 and l < T is
+    a ⊙ (T + σ_a(l)), σ_a(l) = a^(-1) ⊙ l, so its log is
+    log a + log(T + σ_a(l)) mod (q-1): a gather from the block [T, 2T).
+
+    Raises InvariantError unless exactly lim - 1 entries fall below lim and
+    cover [1, lim); build_field proves that this makes exp a bijection onto
+    the units and log its inverse.  The message counts every unit missing
+    from exp.
+    """
+    qm1, top = q - 1, q // p  # top = T, the place value of the top digit
+    lim = max(2 * top, p)
+    log = np.empty(q, dtype=np.int32)
+    log[:lim] = -1
+    below = 0
+    index = np.empty(min(_CHUNK, qm1), dtype=np.intp)
+    for lo in range(0, qm1, _CHUNK):
+        hi = min(lo + _CHUNK, qm1)
+        below += np.count_nonzero(exp[lo:hi] < lim)
+        log[np.minimum(exp[lo:hi], lim, out=index[: hi - lo])] = np.arange(lo, hi, dtype=np.int32)
+    if int(exp[0]) != 1 or int(log[1]) != 0 or below != lim - 1 or log[1:lim].min() < 0:
+        covered = int(np.count_nonzero(np.bincount(exp, minlength=q)[1:]))
+        raise InvariantError(
+            f"g={g} does not generate GF({p}^{e})*: {qm1 - covered} of {qm1} units have no log"
+        )
+
+    # σ_a maps each digit d of l to π(d) = a^(-1) d mod p.  Per band of a,
+    # low[u, r] = σ_u(r) for the r below the top place P = p^(e-2) of l is
+    # built digit by digit; a span of top digits d then gives
+    # σ_u(d P + r) = π_u(d) P + low[u, r], one broadcast add, and a gather
+    # from the monic block.  Every value stays below p^2 <= q < 2^31.
+    # Unsigned, log a + log m < 2(q - 1) < 2^32 cannot wrap, and subtracting
+    # q - 1 wraps past it exactly when the sum is already reduced.
+    blocks = log.reshape(p, top).view(np.uint32)  # blocks[a, l] = log[aT + l]
+    first = lim // top  # 2 for e >= 2; p for e = 1, where nothing is left to compose
+    logs = blocks[0, first:p, None]  # log a for the constants a >= first
+    inverses = exp[qm1 - logs]  # a^(-1), a column
+    place = top // p  # P
+    band = max(1, _CHUNK // top)
+    for a in range(first, p, band):
+        k = slice(a - first, a - first + band)
+        perm = inverses[k] * np.arange(p, dtype=np.int32)
+        perm -= perm // p * p  # perm[u, d] = π_u(d)
+        n = len(perm)
+        low = np.zeros((n, 1), dtype=np.int32)
+        for i in range(e - 2):
+            low = (perm[:, :, None] * p**i + low[:, None, :]).reshape(n, -1)
+        perm *= place
+        span = max(1, _CHUNK // (n * place))
+        for d in range(0, p, span):
+            dst = blocks[a : a + n, d * place : (d + span) * place]
+            sigma = (perm[:, d : d + span, None] + low[:, None, :]).reshape(dst.shape)
+            np.take(blocks[1], sigma, out=dst, mode="clip")  # sigma < T: clip never acts
+            dst += logs[k]
+            np.minimum(dst, dst - qm1, out=dst)
+    return log
 
 
 @dataclass(frozen=True)
@@ -517,12 +656,45 @@ FIELD_SCHEMA = {
 }
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}={value!r} is not an integer") from None
+
+
 def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     """Build the tables for GF(p^e); p an odd prime, e >= 1, p^e <= cap.
 
-    Fields of MAX_FIELD = 2^31 elements or more are refused whatever the cap.
+    p and e may be any integer type, numpy's included (operator.index);
+    anything else, 3.0 say, raises TypeError.  Fields of MAX_FIELD = 2^31
+    elements or more are refused whatever the cap.
+
+    Certificate.  _build_exp gives exp[js+i] = c^j ⊙ exp[i] for i < s =
+    (q-1)/(p-1) and j < p-1, with exp[0..s] = g^0..g^s and the powers of
+    c = g^s from the doubling kernel.  _build_log raises InvariantError
+    unless exactly lim - 1 entries of exp lie below lim = max(2T, p),
+    T = p^(e-1), and cover [1, lim).  The codes below lim are the units
+    with top digit 0 or 1 (all units for e = 1), so each of those occurs
+    in exp exactly once.  That makes exp a bijection onto the q - 1 units:
+    - for e = 1, lim = q and this is the claim;
+    - for e >= 2 the p - 1 constants c^j = exp[js] lie below p < lim, so
+      they are distinct: c generates F_p*.  A unit u with top digit a != 0
+      has the monic a^(-1) ⊙ u, which occurs as exp[js+i] = c^j ⊙ exp[i];
+      picking j' with c^j' = a c^j, u = c^j' ⊙ exp[i] = exp[j's+i].  Units
+      with top digit 0 occur directly, so all q - 1 units occur among the
+      q - 1 entries.
+    So the g^k = exp[k], k < q-1, are distinct and g generates GF(p^e)*.
+    log, exp's inverse on [1, lim) by the scatter, is its inverse on every
+    unit: exp[log a + log m] = a m for the composed log(aT + l) =
+    log a + log(T + σ_a(l)).  Conversely, a collision in exp[0:s] repeats a
+    whole column and a c of order below p - 1 repeats the constants, so a
+    code below lim (a monic code or a constant) is hit twice, and lim - 1
+    entries below lim cannot cover [1, lim).  Every Zech lookup reads log,
+    so the certificate also guards addition.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    p, e = _integer("p", p), _integer("e", e)
+    if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p == 2:
         raise ValueError("p must be an odd prime")
@@ -538,18 +710,5 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     g = _smallest_generator(p, e, q, modulus)
 
     exp = _build_exp(p, e, q, modulus, g)
-
-    log = np.full(q, -1, dtype=np.int32)
-    for lo in range(0, q - 1, _CHUNK):
-        hi = min(lo + _CHUNK, q - 1)
-        log[exp[lo:hi].astype(np.intp)] = np.arange(lo, hi, dtype=np.int32)
-    # Coverage doubles as an order certificate: a non-generator would revisit
-    # codes and leave gaps.  Every Zech lookup reads log, so this also
-    # guards addition.
-    missing = int(np.count_nonzero(log == -1)) - 1
-    if int(exp[0]) != 1 or int(log[1]) != 0 or missing:
-        raise InvariantError(
-            f"g={g} does not generate GF({p}^{e})*: {missing} of {q - 1} units have no log"
-        )
-
+    log = _build_log(p, e, q, g, exp)
     return FieldTable(FieldParams(p, e, tuple(modulus)), g, exp, log)

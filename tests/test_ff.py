@@ -371,9 +371,41 @@ def test_exp_and_zech_across_block_and_chunk_boundaries():
     assert int(table.zech[qm1 // 2]) == -1
 
 
+# exp is built as p - 1 rows of s = (q-1)/(p-1) entries, row j the first one
+# scaled digitwise by c^j = g^(js); log is scattered below 2T, T = p^(e-1),
+# and composed in blocks [aT, (a+1)T) for a >= 2.  GF(3^13) has one scaled
+# row with s > 2^16, GF(251^2) 250 rows of 252, and GF(65537) is all
+# constants: its rows and composition are empty.
+@pytest.mark.parametrize("p,e", [(3, 13), (13, 5), (251, 2), (101, 3), (65537, 1)])
+def test_scaled_rows_and_composed_log_match_the_oracle(p, e):
+    table = build_field(p, e)
+    q, qm1, mod = table.q, table.qm1, table.params.modulus
+    s, top = qm1 // (p - 1), q // p
+    g_digits = _digits(table.g, p, e)
+    pow_p = p ** np.arange(e, dtype=np.int64)
+    successor = np.roll(table.exp, -1)
+    for lo in range(0, qm1, 1 << 16):
+        digits = table.exp[lo : lo + (1 << 16), None] // pow_p % p
+        stepped = _oracle_mul_many(digits, g_digits, mod, p) @ pow_p
+        np.testing.assert_array_equal(stepped, successor[lo : lo + (1 << 16)],
+                                      err_msg=f"rows from {lo}")
+    np.testing.assert_array_equal(table.log[table.exp], np.arange(qm1))
+    assert int(table.log[0]) == -1
+    # The scalar chain across every row edge js and at the logs of the codes
+    # around every composition block edge aT.
+    edge_codes = {x for a in range(1, p) for x in (a * top - 1, a * top, a * top + 1) if 0 < x < q}
+    ks = {k % qm1 for j in range(p - 1) for k in (j * s - 1, j * s, j * s + 1)}
+    ks |= {int(table.log[x]) for x in edge_codes}
+    for k in sorted(ks):
+        step = oracle_mul(_digits(int(table.exp[k]), p, e), g_digits, mod, p)
+        assert _code(step, p) == int(table.exp[(k + 1) % qm1]), k
+    assert all(int(table.exp[table.log[x]]) == x for x in edge_codes)
+
+
 # sha256 of the little-endian int32 bytes of exp, log and zech, recorded
-# before the exp kernel's chunks shrank from 2^16 rows to 2^16 // e: any byte
-# drift at a chunk edge of the kernel or of the Zech build shows here.
+# before the exp kernel's chunks shrank from 2^16 rows to 2^16 // e (the last
+# two before exp was built by scaled rows and log by composition): any byte
+# drift at a chunk, row or block edge of the construction shows here.
 TABLE_DIGESTS = {
     (3, 12): ("9b71137fb6294152cf30ff5b0757f0b1b1ed3fe1018ff6a75ef8d25515b44bbc",
               "a86be36eb7453cf815f4c6bbd7106af69cfb57efa60d6d48171dfe9725c262d7",
@@ -402,6 +434,12 @@ TABLE_DIGESTS = {
     (13, 6): ("01e189c3129bf883c16ea1b58a0b7cb79c217008c82a6198f02c9f1bfbae95ef",
               "cb2e39fd480d003fa8f1757de3f4b4478d592293e7fdab8517ef5ad3fd4af623",
               "80ed1ea07213f6b32257e755937336dad3738b2d3785111ed95937945b237ef4"),
+    (4093, 2): ("0362fbb2e37e352d319da447bb29a6c62c7acc13a138b05674fa10455988e33e",
+                "92f3f862c71927c0ccc8916755c134d5deee04326c6cf0e9932e54b999fe640c",
+                "fa93e9f649b939b7426876df5d8b56bca7b9d454f21c6ce1a313760b9ea1d06f"),
+    (16777213, 1): ("9e7a6d1e78b6219d894be3f1107db32338772cfe4069d1c61730b9f5b66c1de8",
+                    "0ad9a99a429edee5bfb5f4be865b94b728ae4c4c9ddea65da6142da7c1864cfc",
+                    "fbec78f802753ccd00fb7432a8cce7e5462fddff8108e191f69b630743347394"),
 }
 
 
@@ -435,6 +473,48 @@ def test_non_generator_is_an_invariant_error_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "9 of 12 units have no log" in done.stdout
+
+
+# g^5 in GF(3^4) has order 16: exp[0:40] collides while c = g^200 = -1 still
+# generates F_3*.  g^2 in GF(5^2) has order 12: exp[0:6] is distinct, but
+# c = g^12 = -1 has order 2 in F_5*, so the constants repeat.
+@pytest.mark.parametrize("p,e,k,expected", [(3, 4, 5, "64 of 80"), (5, 2, 2, "12 of 24")])
+def test_extension_field_non_generator_is_an_invariant_error_under_optimize(p, e, k, expected):
+    src = Path(ff.__file__).parents[1]
+    script = (
+        "import sys\n"
+        "import cayley_cliques.ff as ff\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(2)\n"
+        f"h = int(ff.build_field({p}, {e}).exp[{k}])\n"
+        "ff._smallest_generator = lambda p, e, q, modulus: h\n"
+        "try:\n"
+        f"    ff.build_field({p}, {e})\n"
+        "except ff.InvariantError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert f"{expected} units have no log" in done.stdout
+
+
+def test_log_certificate_needs_both_the_count_and_the_cover():
+    # In GF(3^4), lim = 2 * 27.  Overwriting an entry past lim with the code 2
+    # leaves [1, lim) covered but puts lim entries below lim; overwriting
+    # the entry 2 with the code 3 keeps the count but uncovers 2.  Either way
+    # exp[0] = 1 and log[1] = 0 still hold, and one unit has no log.
+    table = build_field(3, 4)
+    past = int(np.flatnonzero(table.exp >= 2 * 27)[-1])
+    for pos, code in [(past, 2), (int(table.log[2]), 3)]:
+        exp = table.exp.copy()
+        exp[pos] = code
+        with pytest.raises(InvariantError, match="1 of 80 units have no log"):
+            ff._build_log(3, 4, 81, table.g, exp)
 
 
 def test_exp_log_round_trip(gf81):
@@ -595,6 +675,19 @@ def test_rejects_bad_characteristic():
         build_field(2**64 + 13, 1)  # prime, but past the range of is_prime
     with pytest.raises(ValueError):
         build_field(3, 0)
+
+
+def test_numpy_integers_are_accepted_and_non_integers_refused():
+    expected = build_field(3, 4)
+    for p, e in [(np.int64(3), 4), (3, np.int64(4)), (np.int32(3), np.uint8(4))]:
+        table = build_field(p, e)
+        assert (table.p, table.e, table.g) == (3, 4, expected.g)
+        assert type(table.p) is int and type(table.e) is int
+        np.testing.assert_array_equal(table.exp, expected.exp)
+    with pytest.raises(TypeError, match="p=3.0 is not an integer"):
+        build_field(3.0, 4)
+    with pytest.raises(TypeError, match="e=4.0 is not an integer"):
+        build_field(3, 4.0)
 
 
 def test_cap_enforced():
