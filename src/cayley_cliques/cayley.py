@@ -265,6 +265,12 @@ class CayleyGraph:
         pool, so the result is a maximum clique containing the input.  A
         larger pool gets the greedy one, which repeatedly adds the smallest
         common neighbor.  The report's method names which ran.
+
+        A base that is a subfield splits its pool into large orbits, one
+        rooted subproblem each.  Any other base runs one subproblem per
+        witness, so its exact extension costs far more.  On GP*(7^4, 16),
+        base {0, 1} (pool 599) took 0.7 s and F_7 (pool 84) 3 ms, best of 3
+        on a 2-core VM.
         """
         if exact_budget < 0:
             raise ValueError(f"exact budget must be >= 0, got {exact_budget}")

@@ -11,8 +11,10 @@ per distinct class-count vector, and it finds its theta from log residues
 subfield's step) instead of testing each element's degree.
 
 The epsilon_star computation is plane geometry: the optimal constant for
-which every multiset sum from a set M of unit vectors has modulus >= eps
+which every multiset sum from M = {zeta_d^j : j in J} has modulus >= eps
 times its size equals the distance from the origin to the convex hull of M.
+That distance is a function of the largest cyclic gap G between the
+classes of J: -cos(pi G / d) when 2G > d, and exactly 0 otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .ff import Element, FieldTable, NotADivisor
 
@@ -41,10 +42,6 @@ class NoValidTheta(ValueError):
     """No element generates the required extension (r = E leaves none)."""
 
 
-class OddD(ValueError):
-    """Odd d where the half-circle construction needs an even one."""
-
-
 class Character:
     """Multiplicative character of order exactly d on the field's units."""
 
@@ -54,18 +51,11 @@ class Character:
         self.table = table
         self.d = d
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.d == 1
-
     def chi_class(self, x: Element) -> int:
         """k with chi(x) = zeta_d^k; hard error at 0."""
         if x == 0:
             raise ZeroArgument("character undefined at 0")
         return self.table.log_view[x] % self.d
-
-    def value(self, x: Element) -> complex:
-        return unit_root(self.d, self.chi_class(x))
 
     def __repr__(self) -> str:
         return f"Character(GF({self.table.p}^{self.table.e}), d={self.d})"
@@ -219,11 +209,12 @@ def katz_bound_check(table: FieldTable, r: int, d: int) -> KatzReport:
 
 @dataclass(frozen=True)
 class EpsilonResult:
-    """Distance from the origin to the convex hull of the input points,
-    with hull weights witnessing it: |sum w_i x_i| = epsilon_star."""
+    """Distance from the origin to the convex hull of {zeta_d^j : j in J},
+    with weights over sorted J witnessing it: |sum w_j zeta_d^j| =
+    epsilon_star.  weights is None when epsilon_star is 0."""
 
     epsilon_star: float
-    weights: tuple[float, ...]
+    weights: tuple[float, ...] | None
 
 
 EPSILON_SCHEMA = {
@@ -241,10 +232,6 @@ EPSILON_SCHEMA = {
 }
 
 
-def _cross(a: complex, b: complex) -> float:
-    return a.real * b.imag - a.imag * b.real
-
-
 def _segment_closest(a: complex, b: complex) -> tuple[float, float]:
     """(distance to origin, parameter t of the closest point on [a, b])."""
     ab = b - a
@@ -253,116 +240,36 @@ def _segment_closest(a: complex, b: complex) -> tuple[float, float]:
     return abs(a + t * ab), t
 
 
-def epsilon_star(points) -> EpsilonResult:
-    """Optimal lower-bound constant of a set of unit-modulus points.
+def epsilon_star(d: int, j) -> EpsilonResult:
+    """Optimal lower-bound constant of the class set J in Z_d.
 
-    Every size-k multiset sum from the set has modulus >= epsilon_star * k,
-    and some convex combination attains it; that is the distance from the
-    origin to the convex hull.  Points on the unit circle are in convex
-    position, so the hull is just the angular sort.
+    Every size-k multiset sum from {zeta_d^j : j in J} has modulus
+    >= epsilon_star * k, and some convex combination attains it; that is
+    the distance from the origin to the convex hull of those points.  Let
+    G be the largest cyclic gap between consecutive classes of J.  When
+    2G <= d no open half-plane through the origin holds all the points, so
+    the origin lies in the hull and epsilon_star is exactly 0.  Otherwise
+    the closest point is on the chord across that gap, at distance
+    -cos(pi G / d); the weights sit on the chord's two ends.
     """
-    pts = [complex(z) for z in points]
-    if not pts:
-        raise ValueError("epsilon_star needs at least one point")
-    for z in pts:
-        if abs(abs(z) - 1.0) > 1e-9:
-            raise ValueError(f"point {z} is not unit modulus")
-
-    uniq: list[complex] = []
-    where: dict[tuple[float, float], int] = {}
-    owner: list[int] = []  # index into pts holding each unique point's weight
-    for idx, z in enumerate(pts):
-        key = (round(z.real, 12), round(z.imag, 12))
-        if key not in where:
-            where[key] = len(uniq)
-            uniq.append(z)
-            owner.append(idx)
-
-    weights = [0.0] * len(pts)
-    m = len(uniq)
-    if m == 1:
-        weights[owner[0]] = 1.0
-        return EpsilonResult(abs(uniq[0]), tuple(weights))
-
-    order = sorted(range(m), key=lambda i: math.atan2(uniq[i].imag, uniq[i].real))
-    poly = [uniq[i] for i in order]
-
-    strictly_inside = m >= 3 and all(
-        _cross(poly[i], poly[(i + 1) % m]) > 1e-12 for i in range(m)
-    )
-    if strictly_inside:
-        wts, idxs = _zero_combination(poly)
-        for w, i in zip(wts, idxs):
-            weights[owner[order[i]]] = w
-        return EpsilonResult(0.0, tuple(weights))
-
-    best = math.inf
-    best_edge = (0, 0, 0.0)
-    edges = range(m) if m >= 3 else range(1)  # two points: single segment
-    for i in edges:
-        k = (i + 1) % m
-        dist, t = _segment_closest(poly[i], poly[k])
-        if dist < best:
-            best = dist
-            best_edge = (i, k, t)
-    i, k, t = best_edge
-    weights[owner[order[i]]] += 1.0 - t
-    weights[owner[order[k]]] += t
-    return EpsilonResult(best, tuple(weights))
-
-
-def _zero_combination(poly: list[complex]) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Convex weights over <= 3 polygon vertices summing to the origin."""
-    m = len(poly)
-    for i, k in combinations(range(m), 2):
-        if abs(poly[i] + poly[k]) <= 1e-12:
-            return (0.5, 0.5), (i, k)
-    for i, k, l in combinations(range(m), 3):
-        a, b, c = poly[i], poly[k], poly[l]
-        det = _cross(a - c, b - c)
-        if abs(det) < 1e-12:
-            continue
-        w1 = _cross(-c, b - c) / det
-        w2 = _cross(a - c, -c) / det
-        w3 = 1.0 - w1 - w2
-        if w1 >= -1e-12 and w2 >= -1e-12 and w3 >= -1e-12:
-            w1, w2, w3 = max(w1, 0.0), max(w2, 0.0), max(w3, 0.0)
-            s = w1 + w2 + w3
-            return (w1 / s, w2 / s, w3 / s), (i, k, l)
-    raise RuntimeError("origin inside hull but no witnessing triangle found")  # unreachable
-
-
-def half_circle_points(d: int) -> list[complex]:
-    """The set {zeta_d^j : 0 <= j <= d/2 - 1} (the Peisert connection classes)."""
-    if d % 2 != 0:
-        raise OddD(f"half-circle set needs even d, got {d}")
-    return [unit_root(d, j) for j in range(d // 2)]
-
-
-@dataclass(frozen=True)
-class LemmaBoundReport:
-    d: int
-    epsilon_star: float
-    paper_bound: float  # pi/d - pi/d^2
-    analytic: float  # sin(pi/d), the exact chord distance
-
-
-def verify_lemma_bound(d: int) -> LemmaBoundReport:
-    """Check the half-circle set is (pi/d - pi/d^2)-lower bounded.
-
-    The hull's closest edge to the origin is the chord from angle 0 to
-    angle pi - 2 pi/d, at distance sin(pi/d); that must dominate the
-    pi/d - pi/d^2 estimate.
-    """
-    if d % 2 != 0:
-        raise OddD(f"need even d, got {d}")
-    if d < 4:
-        raise ValueError(f"need d >= 4, got {d}")
-    eps = epsilon_star(half_circle_points(d)).epsilon_star
-    paper_bound = math.pi / d - math.pi / d**2
-    analytic = math.sin(math.pi / d)
-    if not (eps >= paper_bound and abs(eps - analytic) <= 1e-9):
-        raise RuntimeError(
-            f"half-circle epsilon* {eps} violates bounds (coarse {paper_bound}, chord {analytic})"
-        )
-    return LemmaBoundReport(d, eps, paper_bound, analytic)
+    classes = sorted(set(j))
+    if not classes:
+        raise ValueError("epsilon_star needs a nonempty class set J")
+    if classes[0] < 0 or classes[-1] >= d:
+        raise ValueError(f"class set J spans {classes[0]}..{classes[-1]}, not inside Z_{d}")
+    m = len(classes)
+    gaps = [classes[i + 1] - classes[i] for i in range(m - 1)]
+    gaps.append(classes[0] + d - classes[-1])
+    gap = max(gaps)
+    if 2 * gap <= d:
+        return EpsilonResult(0.0, None)
+    # The chord runs counterclockwise across the gap.  A two-class J runs it
+    # from the smaller class, which keeps the weights that `epsilon --d 4`
+    # prints in their order.
+    i = 0 if m == 2 else gaps.index(gap)
+    k = (i + 1) % m
+    dist, t = _segment_closest(unit_root(d, classes[i]), unit_root(d, classes[k]))
+    weights = [0.0] * m
+    weights[i] += 1.0 - t
+    weights[k] += t
+    return EpsilonResult(dist, tuple(weights))

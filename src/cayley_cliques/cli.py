@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from .cayley import GraphKind, make_graph
-from .charsum import epsilon_star, katz_bound_check, unit_root
-from .ff import DEFAULT_CAP, InvariantError, build_field
+from .charsum import epsilon_star, katz_bound_check
+from .ff import DEFAULT_CAP, CapExceeded, InvariantError, build_field
 from .verify import (
     NoQualifyingR,
     SweepConfig,
@@ -152,11 +152,14 @@ def _cmd_katz(args: argparse.Namespace) -> int:
 def _cmd_epsilon(args: argparse.Namespace) -> int:
     if args.d < 2 or args.d % 2 != 0:
         raise ValueError(f"--d must be even and >= 2, got {args.d}")
-    j = list(range(args.d // 2))
-    result = epsilon_star([unit_root(args.d, k) for k in j])
+    if args.d > args.cap:
+        raise CapExceeded(f"--d {args.d} exceeds the cap {args.cap}: a d-th character "
+                          f"needs d | q-1 for a field of at most {args.cap} elements")
+    j = range(args.d // 2)
+    result = epsilon_star(args.d, j)
     doc = {
         "d": args.d,
-        "J": j,
+        "J": list(j),
         "epsilon_star": result.epsilon_star,
         "weights": list(result.weights),
         "paper_bound": math.pi / args.d - math.pi / args.d**2,

@@ -107,10 +107,11 @@ def check_hypotheses(case: CaseParams) -> HypothesisRegime:
     # i.e. class 0 is part of the connection set.
     if 0 in case.kind.j:
         if case.kind.name == "peisert":
-            # The half-circle hull is closest to the origin on its closing chord.
+            # epsilon_star(d, J) in O(1): the half-circle set's largest gap
+            # runs from class d/2 - 1 back to 0.
             eps = _segment_closest(unit_root(d, d // 2 - 1), unit_root(d, 0))[0]
         else:
-            eps = epsilon_star([unit_root(d, j) for j in sorted(case.kind.j)]).epsilon_star
+            eps = epsilon_star(d, case.kind.j).epsilon_star
         if eps > 0.0:
             thr = (n - 1) ** 2 / eps**2
             name = "proposition" if q > thr else "below_threshold"

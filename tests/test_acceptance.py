@@ -6,6 +6,7 @@ run with -v (or -s) to read the checklist.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -26,9 +27,8 @@ from cayley_cliques import (
     maximum_clique,
     sweep,
     verify_case,
-    verify_lemma_bound,
 )
-from cayley_cliques.charsum import epsilon_star, half_circle_points
+from cayley_cliques.charsum import epsilon_star
 from cayley_cliques.cli import main
 
 
@@ -120,12 +120,12 @@ def test_criterion_5_katz_bound_over_gf81_and_gf625():
 def test_criterion_6_epsilon_star_of_half_circle_sets():
     t0 = time.perf_counter()
     for d in range(4, 65, 2):
-        report = verify_lemma_bound(d)
-        assert report.epsilon_star == pytest.approx(math.sin(math.pi / d), abs=1e-9)
-        assert report.epsilon_star >= math.pi / d - math.pi / d**2
+        eps = epsilon_star(d, range(d // 2)).epsilon_star
+        assert eps == pytest.approx(math.sin(math.pi / d), abs=1e-9)
+        assert eps >= math.pi / d - math.pi / d**2
     for d in (4, 6, 8):
-        points = half_circle_points(d)
-        eps = epsilon_star(points).epsilon_star
+        points = [cmath.rect(1.0, 2.0 * math.pi * j / d) for j in range(d // 2)]
+        eps = epsilon_star(d, range(d // 2)).epsilon_star
         for size in range(1, 7):
             for combo in combinations_with_replacement(points, size):
                 assert abs(sum(combo)) / size >= eps - 1e-9

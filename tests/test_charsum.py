@@ -16,18 +16,15 @@ from cayley_cliques import (
     Character,
     NoValidTheta,
     NotADivisor,
-    OddD,
     RootOfUnitySum,
     TrivialCharacter,
     ZeroArgument,
     ZeroEncountered,
     build_field,
     epsilon_star,
-    half_circle_points,
     katz_bound_check,
     line_sum,
     unit_root,
-    verify_lemma_bound,
 )
 
 # ---------------------------------------------------------------------------
@@ -49,20 +46,11 @@ def test_character_is_multiplicative(gf81):
             assert lhs == (chi.chi_class(x) + chi.chi_class(y)) % 8
 
 
-def test_character_value_is_unit_root(gf13):
-    chi = Character(gf13, 4)
-    for x in range(1, 13):
-        v = chi.value(x)
-        assert abs(abs(v) - 1.0) < 1e-12
-        assert abs(v - unit_root(4, chi.chi_class(x))) < 1e-12
-
-
 def test_character_errors(gf13):
     with pytest.raises(NotADivisor):
         Character(gf13, 5)
     with pytest.raises(ZeroArgument):
         Character(gf13, 3).chi_class(0)
-    assert Character(gf13, 1).is_trivial
 
 
 def test_nontrivial_character_sums_to_zero(gf81):
@@ -89,12 +77,16 @@ def test_root_sum_matches_direct_complex_arithmetic():
 # ---------------------------------------------------------------------------
 # line sums and the Katz bound
 
+def _chi_value(chi, x):
+    return cmath.rect(1.0, 2.0 * math.pi * chi.chi_class(x) / chi.d)
+
+
 def test_line_sum_matches_cmath_oracle(gf81):
     chi = Character(gf81, 5)
     base = gf81.subfield_elements(1)
     for theta in (3, 9, 30, 77):
         got = line_sum(chi, theta, base)
-        expected = sum(chi.value(gf81.add(theta, a)) for a in base)
+        expected = sum(_chi_value(chi, gf81.add(theta, a)) for a in base)
         assert got.total == len(base)
         assert abs(got.value() - expected) < 1e-9
 
@@ -140,7 +132,7 @@ def _katz_oracle_max_ratio(table, r, d):
     for theta in table.elements():
         if table.degree_over_base(theta, r) != n:
             continue
-        total = sum(chi.value(table.add(theta, a)) for a in base)
+        total = sum(_chi_value(chi, table.add(theta, a)) for a in base)
         worst = max(worst, abs(total) / bound)
     return worst
 
@@ -204,57 +196,103 @@ def test_katz_errors(gf81):
 # ---------------------------------------------------------------------------
 # epsilon-lower-bounded sets
 
+def _support_epsilon(d, classes):
+    """max(0, max over directions u of min over J of <zeta_d^j, u>): the
+    distance from the origin to the hull, through its support function.
+    The maximising direction bisects two classes, so the 2d directions
+    pi k / d suffice."""
+    return max(0.0, max(
+        min(math.cos(math.pi * (2 * j - k) / d) for j in classes) for k in range(2 * d)
+    ))
+
+
+def _largest_gap(d, classes):
+    ordered = sorted(classes)
+    return max(b - a for a, b in zip(ordered, ordered[1:] + [ordered[0] + d]))
+
+
+def _class_sets_with_zero(d):
+    for mask in range(1 << (d - 1)):
+        yield [0] + [j for j in range(1, d) if mask >> (j - 1) & 1]
+
+
 def test_epsilon_single_point_is_one():
-    result = epsilon_star([1 + 0j])
-    assert result.epsilon_star == pytest.approx(1.0, abs=1e-12)
+    result = epsilon_star(7, {3})
+    assert result.epsilon_star == 1.0
     assert result.weights == (1.0,)
 
 
 def test_epsilon_quarter_circle():
-    result = epsilon_star([1, 1j])
+    result = epsilon_star(4, {0, 1})
     assert result.epsilon_star == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
 
 def test_epsilon_antipodal_pair_is_zero():
-    result = epsilon_star([1, -1])
+    result = epsilon_star(2, {0, 1})
     assert result.epsilon_star == 0.0
-    assert result.weights == (0.5, 0.5)
+    assert result.weights is None
 
 
 def test_epsilon_full_triangle_is_zero():
-    result = epsilon_star([unit_root(3, j) for j in range(3)])
+    result = epsilon_star(3, range(3))
     assert result.epsilon_star == 0.0
+    assert result.weights is None
 
 
 def test_epsilon_validation():
     with pytest.raises(ValueError):
-        epsilon_star([])
+        epsilon_star(4, [])
     with pytest.raises(ValueError):
-        epsilon_star([0.5 + 0j])
+        epsilon_star(4, {0, 4})
+    with pytest.raises(ValueError):
+        epsilon_star(4, {-1, 0})
+
+
+def test_epsilon_matches_the_support_function_on_every_class_set():
+    sets = 0
+    for d in range(1, 13):
+        for classes in _class_sets_with_zero(d):
+            assert epsilon_star(d, classes).epsilon_star == pytest.approx(
+                _support_epsilon(d, classes), abs=1e-14), (d, classes)
+            sets += 1
+    assert sets == 4095
+
+
+def test_epsilon_is_exactly_zero_when_the_largest_gap_is_half_the_circle():
+    sets = 0
+    for d in range(2, 17, 2):
+        for classes in _class_sets_with_zero(d):
+            if 2 * _largest_gap(d, classes) == d:
+                result = epsilon_star(d, classes)
+                assert result.epsilon_star == 0.0 and result.weights is None, (d, classes)
+                sets += 1
+    assert sets == 1271
 
 
 @pytest.mark.parametrize("points", [
-    [1 + 0j],
-    [1, 1j],
-    [1, -1],
-    half_circle_points(6),
-    half_circle_points(8),
-    [unit_root(5, j) for j in (0, 1)],
-    [unit_root(12, j) for j in (0, 2, 5)],
+    (1, {0}),
+    (4, {0, 1}),
+    (3, {0, 1}),
+    (6, range(3)),
+    (8, range(4)),
+    (5, {0, 1}),
+    (12, {0, 2, 5}),
 ])
 def test_epsilon_weights_attain_the_distance(points):
-    result = epsilon_star(points)
-    assert len(result.weights) == len(points)
-    assert all(w >= -1e-12 for w in result.weights)
-    assert math.fsum(result.weights) == pytest.approx(1.0, abs=1e-9)
-    combo = sum(w * z for w, z in zip(result.weights, points))
-    assert abs(combo) == pytest.approx(result.epsilon_star, abs=1e-9)
+    d, classes = points  # the points zeta_d^j for j in classes
+    result = epsilon_star(d, classes)
+    assert len(result.weights) == len(classes)
+    assert all(w >= 0.0 for w in result.weights)
+    assert math.fsum(result.weights) == pytest.approx(1.0, abs=1e-12)
+    combo = sum(w * cmath.rect(1.0, 2.0 * math.pi * j / d)
+                for w, j in zip(result.weights, sorted(classes)))
+    assert abs(combo) == pytest.approx(result.epsilon_star, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_no_multiset_beats_epsilon(d):
-    points = half_circle_points(d)
-    eps = epsilon_star(points).epsilon_star
+    points = [cmath.rect(1.0, 2.0 * math.pi * j / d) for j in range(d // 2)]
+    eps = epsilon_star(d, range(d // 2)).epsilon_star
     for size in range(1, 7):
         for combo in combinations_with_replacement(points, size):
             assert abs(sum(combo)) / size >= eps - 1e-9
@@ -263,20 +301,16 @@ def test_no_multiset_beats_epsilon(d):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_epsilon_shrinks_when_points_are_added(data):
-    d = data.draw(st.integers(2, 12))
-    classes = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d)))
+    d = data.draw(st.integers(1, 12))
+    classes = data.draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d))
     extra = data.draw(st.integers(0, d - 1))
-    base = [unit_root(d, j) for j in classes]
-    eps_small = epsilon_star(base).epsilon_star
-    eps_big = epsilon_star(base + [unit_root(d, extra)]).epsilon_star
+    eps_small = epsilon_star(d, classes).epsilon_star
+    eps_big = epsilon_star(d, classes | {extra}).epsilon_star
     assert eps_big <= eps_small + 1e-12
 
 
 def test_duplicate_points_do_not_change_epsilon():
-    pts = half_circle_points(6)
-    assert epsilon_star(pts + pts).epsilon_star == pytest.approx(
-        epsilon_star(pts).epsilon_star, abs=1e-12
-    )
+    assert epsilon_star(6, [0, 1, 2, 2, 0, 1]) == epsilon_star(6, range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +326,15 @@ def _chord_distance(d: int) -> float:
 
 @pytest.mark.parametrize("d", [4, 6, 10, 62])
 def test_half_circle_epsilon_is_the_chord_distance(d):
-    eps = epsilon_star(half_circle_points(d)).epsilon_star
+    eps = epsilon_star(d, range(d // 2)).epsilon_star
     assert eps == pytest.approx(_chord_distance(d), abs=1e-9)
     assert eps == pytest.approx(math.sin(math.pi / d), abs=1e-9)
 
 
 @pytest.mark.parametrize("d", [4, 6, 62])
 def test_lemma_bound_report(d):
-    report = verify_lemma_bound(d)
-    assert report.d == d
-    assert report.analytic == pytest.approx(math.sin(math.pi / d), abs=1e-12)
-    assert report.paper_bound == pytest.approx(math.pi / d - math.pi / d**2, abs=1e-12)
-    assert report.epsilon_star >= report.paper_bound
-
-
-def test_lemma_bound_validation():
-    with pytest.raises(OddD):
-        verify_lemma_bound(7)
-    with pytest.raises(ValueError):
-        verify_lemma_bound(2)
-    with pytest.raises(OddD):
-        half_circle_points(5)
+    # The half-circle set is (pi/d - pi/d^2)-lower bounded: its epsilon* is
+    # the chord distance sin(pi/d), which dominates that estimate.
+    eps = epsilon_star(d, range(d // 2)).epsilon_star
+    assert eps == pytest.approx(math.sin(math.pi / d), abs=1e-12)
+    assert eps >= math.pi / d - math.pi / d**2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod, gf_strip
 
-from cayley_cliques import ff, verify
+from cayley_cliques import cli, ff, verify
 from cayley_cliques.cayley import CLIQUE_REPORT_SCHEMA, GRAPH_SCHEMA, CayleyGraph
 from cayley_cliques.charsum import EPSILON_SCHEMA, KATZ_REPORT_SCHEMA
 from cayley_cliques.cli import main
@@ -142,6 +143,26 @@ def test_epsilon_command(capsys):
 def test_epsilon_rejects_odd_d(capsys):
     code, _, err = run(capsys, "epsilon", "--d", "5")
     assert code == 2 and "--d" in err
+
+
+def test_epsilon_beyond_the_cap_exits_2_before_computing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "epsilon_star", None)  # a call would raise, not allocate
+    monkeypatch.delenv("CAYLEY_CLIQUE_CAP", raising=False)
+    code, out, err = run(capsys, "epsilon", "--d", "100000000")
+    assert code == 2 and "cap" in err and out == ""
+    code, out, err = run(capsys, "epsilon", "--cap", "100", "--d", "102")
+    assert code == 2 and "cap" in err and out == ""
+
+
+def test_epsilon_stdout_bytes_are_pinned(capsys):
+    """sha256 of the concatenated stdout of epsilon --d D over every even D
+    up to 2000, recorded from the convex-hull implementation it replaced."""
+    digest = hashlib.sha256()
+    for d in range(2, 2001, 2):
+        code, out, _ = run(capsys, "epsilon", "--d", str(d))
+        assert code == 0, d
+        digest.update(out.encode())
+    assert digest.hexdigest() == "72dcad9acb49ef5535500bbe8397b73ea9a0400703ba214c7c355be72a1595f2"
 
 
 def test_clique_extend_command(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -10,8 +11,10 @@ import jsonschema
 import pytest
 
 from cayley_cliques import (
+    CaseParams,
     CayleyGraph,
     GraphKind,
+    HypothesisRegime,
     NoQualifyingR,
     SweepConfig,
     build_field,
@@ -27,7 +30,7 @@ from cayley_cliques import (
     verify_case,
     verify_conjecture_case,
 )
-from cayley_cliques.charsum import _segment_closest, half_circle_points, unit_root
+from cayley_cliques.charsum import _segment_closest, unit_root
 from cayley_cliques.cli import main
 from cayley_cliques.verify import THEOREM_REPORT_SCHEMA, report_lines, summary_csv
 
@@ -63,13 +66,35 @@ def test_peisert_regimes():
 
 
 def test_peisert_epsilon_is_the_hull_distance_bit_for_bit():
-    # check_hypotheses reads the Peisert eps* off the closing chord; the
-    # regime_epsilon and regime_threshold bytes depend on exact equality.
+    # check_hypotheses reads the Peisert eps* off the closing chord in O(1);
+    # the regime_epsilon and regime_threshold bytes depend on exact equality.
     for d in range(4, 1001, 2):
         chord = _segment_closest(unit_root(d, d // 2 - 1), unit_root(d, 0))[0]
-        assert chord == epsilon_star(half_circle_points(d)).epsilon_star, d
+        assert chord == epsilon_star(d, range(d // 2)).epsilon_star, d
     regime = check_hypotheses(make_case(3, 1, 4, 4, "peisert"))
-    assert regime.epsilon == epsilon_star(half_circle_points(4)).epsilon_star
+    assert regime.epsilon == epsilon_star(4, range(2)).epsilon_star
+
+
+def test_half_circle_gap_has_no_threshold():
+    # J = {0, 2} in Z_4 has largest gap 2 = d/2: eps* is 0 and no
+    # proposition threshold exists.
+    regime = check_hypotheses(CaseParams(3, 1, 4, 4, GraphKind.residue_class(4, {0, 2})))
+    assert regime == HypothesisRegime("below_threshold", None, 0.0)
+
+
+def test_regimes_of_the_order_million_grid_are_pinned():
+    """sha256 of (name, threshold, epsilon) for every case up to order 10^6
+    and n <= 20, recorded from the convex-hull implementation it replaced."""
+    digest = hashlib.sha256()
+    cases = 0
+    for c in enumerate_cases(SweepConfig(max_order=10**6, n_max=20)):
+        r = check_hypotheses(c)
+        digest.update(f"{c.p},{c.s},{c.n},{c.d},{c.kind.name}:{r.name},"
+                      f"{r.threshold!r},{r.epsilon!r}\n".encode())
+        cases += 1
+    assert cases == 19085
+    assert digest.hexdigest() == "1e1cc53c7a5f3f6871f941a6604666ea956ede3f4528f8492d6035d214525fba"
+
 
 def test_case_validation():
     with pytest.raises(ValueError, match="odd prime"):
