@@ -24,15 +24,16 @@ The tables come from the factorisation F* = F_p* x {monic codes}.  A
 constant scales each base-p digit mod p, so with s = (q-1)/(p-1) and
 c = g^s in F_p*, g^(js+i) = c^j ⊙ g^i: exp is built by the doubling
 kernel for g^0..g^s and the powers of c only, every other row of s
-entries being the first one scaled digitwise (_build_exp).  log is
-scattered only for the codes below lim = max(2T, p), T = p^(e-1), that
-is the units with top digit 0 or 1; the log of every other code aT + l
-is log a plus the log of the monic code a^(-1) ⊙ (aT + l) in [T, 2T), a
-gather from that block (_build_log).  So a random write into log is
-paid 2T - 1 times, not q - 1; for e = 1, lim = q and both steps reduce
-to the kernel and one full scatter.  The order certificate, exactly
-lim - 1 entries of exp below lim covering [1, lim), makes exp a
-bijection onto the units and log its inverse (proof in build_field).
+entries being the first one scaled digitwise (_build_exp).  build_field
+then certifies exp in one streaming pass (_certify): exactly lim - 1
+entries below lim = max(2T, p), T = p^(e-1), covering [1, lim), which
+makes exp a bijection onto the units (proof in build_field).  log is
+built on its first read, not by build_field: it is scattered only for the
+codes below lim, the units with top digit 0 or 1; the log of every other
+code aT + l is log a plus the log of the monic code a^(-1) ⊙ (aT + l) in
+[T, 2T), a gather from that block (_build_log).  So a random write into
+log is paid 2T - 1 times, not q - 1; for e = 1, lim = q and both steps
+reduce to the kernel and one full scatter.
 """
 
 from __future__ import annotations
@@ -370,8 +371,34 @@ def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.n
     return exp
 
 
-def _build_log(p: int, e: int, q: int, g: int, exp: np.ndarray) -> np.ndarray:
-    """The discrete-log table of exp (see build_field), log[0] = -1.
+def _certify(p: int, e: int, q: int, g: int, exp: np.ndarray) -> None:
+    """The order certificate of exp (see build_field): raise InvariantError
+    unless exp[0] = 1 and exactly lim - 1 entries of exp lie below
+    lim = max(2T, p), T = p^(e-1), covering [1, lim).
+
+    One streaming pass in _CHUNK slices counts the entries below lim and
+    marks them in a bool array of lim + 1 bytes; entries past lim are
+    clamped onto mark[lim], one hot slot that the test ignores, so they
+    cost no random write.  The message counts every unit missing from exp.
+    """
+    qm1 = q - 1
+    lim = max(2 * (q // p), p)
+    mark = np.zeros(lim + 1, dtype=bool)
+    below = 0
+    index = np.empty(min(_CHUNK, qm1), dtype=np.intp)
+    for lo in range(0, qm1, _CHUNK):
+        hi = min(lo + _CHUNK, qm1)
+        below += np.count_nonzero(exp[lo:hi] < lim)
+        mark[np.minimum(exp[lo:hi], lim, out=index[: hi - lo])] = True
+    if int(exp[0]) != 1 or below != lim - 1 or not mark[1:lim].all():
+        covered = int(np.count_nonzero(np.bincount(exp, minlength=q)[1:]))
+        raise InvariantError(
+            f"g={g} does not generate GF({p}^{e})*: {qm1 - covered} of {qm1} units have no log"
+        )
+
+
+def _build_log(p: int, e: int, q: int, exp: np.ndarray) -> np.ndarray:
+    """The discrete-log table of a certified exp (see _certify), log[0] = -1.
 
     With T = p^(e-1) and lim = max(2T, p), only the exp entries below lim,
     the units with top digit 0 or 1, are scattered into log: entries past
@@ -380,27 +407,17 @@ def _build_log(p: int, e: int, q: int, g: int, exp: np.ndarray) -> np.ndarray:
     clamp changes nothing).  Every code aT + l with a >= 2 and l < T is
     a ⊙ (T + σ_a(l)), σ_a(l) = a^(-1) ⊙ l, so its log is
     log a + log(T + σ_a(l)) mod (q-1): a gather from the block [T, 2T).
-
-    Raises InvariantError unless exactly lim - 1 entries fall below lim and
-    cover [1, lim); build_field proves that this makes exp a bijection onto
-    the units and log its inverse.  The message counts every unit missing
-    from exp.
+    The certificate makes the scatter cover [1, lim) and the composition
+    the rest, so no entry but log[0] needs a fill.
     """
     qm1, top = q - 1, q // p  # top = T, the place value of the top digit
     lim = max(2 * top, p)
     log = np.empty(q, dtype=np.int32)
-    log[:lim] = -1
-    below = 0
+    log[0] = -1
     index = np.empty(min(_CHUNK, qm1), dtype=np.intp)
     for lo in range(0, qm1, _CHUNK):
         hi = min(lo + _CHUNK, qm1)
-        below += np.count_nonzero(exp[lo:hi] < lim)
         log[np.minimum(exp[lo:hi], lim, out=index[: hi - lo])] = np.arange(lo, hi, dtype=np.int32)
-    if int(exp[0]) != 1 or int(log[1]) != 0 or below != lim - 1 or log[1:lim].min() < 0:
-        covered = int(np.count_nonzero(np.bincount(exp, minlength=q)[1:]))
-        raise InvariantError(
-            f"g={g} does not generate GF({p}^{e})*: {qm1 - covered} of {qm1} units have no log"
-        )
 
     # σ_a maps each digit d of l to π(d) = a^(-1) d mod p.  Per band of a,
     # low[u, r] = σ_u(r) for the r below the top place P = p^(e-2) of l is
@@ -457,6 +474,7 @@ class FieldTable:
         exp[k] is the code of g^k.
     log : int32 ndarray, shape (q,)
         Discrete log base g; log[0] = -1 is a sentinel, never a valid log.
+        Built from the certified exp on the first read, not by build_field.
     zech : int32 ndarray, shape (q-1,)
         Zech logarithm: zech[k] = log(1 + g^k), so zech[(q-1)/2] = -1 marks
         1 + g^k = 0.  Built on the first addition, not by build_field.
@@ -466,21 +484,24 @@ class FieldTable:
         (memoryview.obj), so a table and its view cannot disagree, and
         exp, log and zech cannot be rebound.
 
-    The three tables take 12 bytes per element once zech is built; the
-    views share their memory.
+    The tables take 4 bytes per element after build_field, 8 once log is
+    read and 12 once zech is built; the views share their memory.  A log
+    passed to the constructor is used as given, unchecked: that is how
+    tests build corrupt tables.
     """
 
-    def __init__(self, params: FieldParams, g: int, exp: np.ndarray, log: np.ndarray):
+    def __init__(self, params: FieldParams, g: int, exp: np.ndarray, log: np.ndarray | None = None):
         self.params = params
         self.p = params.p
         self.e = params.e
         self.q = params.p**params.e
         self.qm1 = self.q - 1
         self.g = g
-        for arr in (exp, log):
-            arr.setflags(write=False)
+        exp.setflags(write=False)
         self.exp_view = memoryview(exp)
-        self.log_view = memoryview(log)
+        if log is not None:
+            log.setflags(write=False)
+            self.log_view = memoryview(log)  # shadows the cached_property
 
     @property
     def exp(self) -> np.ndarray:
@@ -489,6 +510,13 @@ class FieldTable:
     @property
     def log(self) -> np.ndarray:
         return self.log_view.obj
+
+    @cached_property
+    def log_view(self) -> memoryview:
+        """log, built on first use by _build_log from the certified exp."""
+        log = _build_log(self.p, self.e, self.q, self.exp)
+        log.setflags(write=False)
+        return memoryview(log)
 
     def __repr__(self) -> str:
         return f"FieldTable(GF({self.p}^{self.e}))"
@@ -672,9 +700,10 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
 
     Certificate.  _build_exp gives exp[js+i] = c^j ⊙ exp[i] for i < s =
     (q-1)/(p-1) and j < p-1, with exp[0..s] = g^0..g^s and the powers of
-    c = g^s from the doubling kernel.  _build_log raises InvariantError
-    unless exactly lim - 1 entries of exp lie below lim = max(2T, p),
-    T = p^(e-1), and cover [1, lim).  The codes below lim are the units
+    c = g^s from the doubling kernel.  _certify, run on every build over
+    the whole of exp, raises InvariantError unless exp[0] = 1 and exactly
+    lim - 1 entries of exp lie below lim = max(2T, p), T = p^(e-1), and
+    cover [1, lim).  The codes below lim are the units
     with top digit 0 or 1 (all units for e = 1), so each of those occurs
     in exp exactly once.  That makes exp a bijection onto the q - 1 units:
     - for e = 1, lim = q and this is the claim;
@@ -685,13 +714,14 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
       with top digit 0 occur directly, so all q - 1 units occur among the
       q - 1 entries.
     So the g^k = exp[k], k < q-1, are distinct and g generates GF(p^e)*.
-    log, exp's inverse on [1, lim) by the scatter, is its inverse on every
-    unit: exp[log a + log m] = a m for the composed log(aT + l) =
-    log a + log(T + σ_a(l)).  Conversely, a collision in exp[0:s] repeats a
-    whole column and a c of order below p - 1 repeats the constants, so a
-    code below lim (a monic code or a constant) is hit twice, and lim - 1
-    entries below lim cannot cover [1, lim).  Every Zech lookup reads log,
-    so the certificate also guards addition.
+    log, built on its first read by _build_log, is exp's inverse on
+    [1, lim) by the scatter, and on every unit: exp[log a + log m] = a m
+    for the composed log(aT + l) = log a + log(T + σ_a(l)).  Conversely, a
+    collision in exp[0:s] repeats a whole column and a c of order below
+    p - 1 repeats the constants, so a code below lim (a monic code or a
+    constant) is hit twice, and lim - 1 entries below lim cannot cover
+    [1, lim).  exp is read-only from here on, so the certificate holds for
+    every later read of log and every Zech lookup: it guards addition too.
     """
     p, e = _integer("p", p), _integer("e", e)
     if not is_prime(p):
@@ -710,5 +740,5 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     g = _smallest_generator(p, e, q, modulus)
 
     exp = _build_exp(p, e, q, modulus, g)
-    log = _build_log(p, e, q, g, exp)
-    return FieldTable(FieldParams(p, e, tuple(modulus)), g, exp, log)
+    _certify(p, e, q, g, exp)
+    return FieldTable(FieldParams(p, e, tuple(modulus)), g, exp)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
-from cayley_cliques import ff
+from cayley_cliques import cli, ff
 from cayley_cliques.ff import (
     CapExceeded,
     FieldTable,
@@ -514,7 +514,64 @@ def test_log_certificate_needs_both_the_count_and_the_cover():
         exp = table.exp.copy()
         exp[pos] = code
         with pytest.raises(InvariantError, match="1 of 80 units have no log"):
-            ff._build_log(3, 4, 81, table.g, exp)
+            ff._certify(3, 4, 81, table.g, exp)
+
+
+def _capture_tables(monkeypatch) -> list[FieldTable]:
+    """Every FieldTable constructed from here on, in order."""
+    tables = []
+    init = FieldTable.__init__
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(FieldTable, "__init__", capture)
+    return tables
+
+
+def test_build_field_and_the_table_free_commands_build_no_log(monkeypatch, capsys):
+    tables = _capture_tables(monkeypatch)
+    build_field(4093, 2)
+    assert cli.main(["field", "--p", "4093", "--s", "2"]) == 0
+    assert cli.main(["graph-info", "--p", "4093", "--s", "1", "--n", "2", "--d", "2"]) == 0
+    capsys.readouterr()
+    assert len(tables) == 3
+    for table in tables:
+        assert "log_view" not in vars(table)
+        assert "zech_view" not in vars(table)
+
+
+def test_log_is_built_once_on_first_read(monkeypatch):
+    built = []
+    build_log = ff._build_log
+    monkeypatch.setattr(ff, "_build_log", lambda *args: built.append(args) or build_log(*args))
+    table = build_field(3, 4)
+    assert built == []
+    log = table.log
+    assert len(built) == 1
+    assert table.log is log
+    assert len(built) == 1
+    assert int(log[0]) == -1 and not log.flags.writeable
+
+
+def test_corrupt_exp_is_refused_by_build_field_before_any_log(monkeypatch):
+    # exp[7] = exp[8] repeats one unit and loses another; build_field itself
+    # must raise, and _build_log must never run on the corrupt table.
+    build_exp = ff._build_exp
+
+    def corrupt(*args):
+        exp = build_exp(*args)
+        exp[7] = exp[8]
+        return exp
+
+    built = []
+    monkeypatch.setattr(ff, "_build_exp", corrupt)
+    monkeypatch.setattr(ff, "_build_log", lambda *args: built.append(args))
+    tables = _capture_tables(monkeypatch)
+    with pytest.raises(InvariantError, match="1 of 80 units have no log"):
+        build_field(3, 4)
+    assert built == [] and tables == []
 
 
 def test_exp_log_round_trip(gf81):
