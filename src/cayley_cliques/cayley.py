@@ -13,7 +13,8 @@ subfield starts from one representative exponent per coset of a subgroup
 that fixes the subfield and S, not from the whole field (see
 common_neighbors).  Clique tests and the adjacency of small induced
 subgraphs come from one log-domain pair kernel (see _pair_adjacency), and
-exact maximum-clique searches run on bitset rows of those subgraphs only.
+exact maximum-clique searches take those boolean matrices; bitset rows
+exist only inside the search (see maximum_clique).
 
 The exact extension of a subfield F uses the graph's symmetry.  The maps
 x -> ux + f with f in F and u in the units of F that lie in class 0 mod d
@@ -282,18 +283,23 @@ class CayleyGraph:
 
         pool must be the common neighbors of vertices, ascending, as
         is_maximal_clique returns them; a caller that already holds them
-        skips the second scan.
+        skips the second scan.  Maximality is checked on that pool too: a
+        clique holding the base has as its common neighbors the pool
+        vertices adjacent to every added vertex, so those, and any base
+        vertex missing from the result, are left over.
         """
         base = sorted(set(vertices))
         if len(pool) <= exact_budget:
             method, clique = "exact", self._extend_exact(base, pool)
         else:
             method, clique = "greedy", self._extend_greedy(base, pool)
-        leftover = self.common_neighbors(clique)
+        added = sorted(set(clique).difference(base))
+        leftover = len(set(base).difference(clique))
+        leftover += self._filter(np.array(pool, dtype=np.int64), added).size
         if leftover:
             raise InvariantError(
                 f"{method} extension of {base} stopped at a non-maximal clique: "
-                f"{len(leftover)} common neighbors remain"
+                f"{leftover} common neighbors remain"
             )
         return CliqueReport(tuple(clique), True, (), method)
 
@@ -314,31 +320,27 @@ class CayleyGraph:
         subfield F, else single witnesses).  The clique returned is the one
         a single search of W seeded with the greedy extension returns: the
         seed when nothing beats it, else the first clique of the optimum
-        size that search meets.
+        size that search meets.  Both read W's boolean adjacency matrix.
         """
         if not pool:
             return list(base)
         vertices = np.array(pool, dtype=np.int64)
         adjacency = self._induced_adjacency(vertices)
-        masks = _row_masks(adjacency)
-        # Greedy extension: the pool is ascending, so the lowest candidate bit
-        # is the smallest common neighbor.
-        seed, cand = 0, (1 << len(pool)) - 1
-        while cand:
-            low = cand & -cand
-            seed |= low
-            cand &= masks[low.bit_length() - 1]
-        size = self._orbit_clique_size(adjacency, self._pool_orbits(base, vertices), seed.bit_count())
-        if size == seed.bit_count():
-            best = seed
-        else:
+        # Greedy extension: the pool is ascending, so the first candidate
+        # left is the smallest common neighbor.
+        seed, cand = [], np.arange(len(pool))
+        while cand.size:
+            seed.append(int(cand[0]))
+            cand = cand[adjacency[cand[0], cand]]
+        size = self._orbit_clique_size(adjacency, self._pool_orbits(base, vertices), len(seed))
+        chosen = seed
+        if size > len(seed):
             # The bound, and every prune it enables, only skips branches
             # that cannot reach `size`; the colourings and visit order do
             # not depend on it, so this meets the same first size-`size`
             # clique as an unbounded run.
-            best = maximum_clique(masks, bound=size - 1, stop_at=size)
-        chosen = [pool[i] for i in _bits(best)]
-        return sorted(base + chosen)
+            chosen = _bits(maximum_clique(adjacency, bound=size - 1, stop_at=size))
+        return sorted(base + [pool[i] for i in chosen])
 
     def _frobenius_powers(self) -> list[int]:
         """The k < E for which x -> x^(p^k) maps S onto S, ascending.
@@ -432,7 +434,7 @@ class CayleyGraph:
                 break
             sub = np.flatnonzero(adjacency[orbit[0]] & free)
             if sub.size >= best:
-                found = maximum_clique(_row_masks(adjacency[np.ix_(sub, sub)]), bound=best - 1)
+                found = maximum_clique(adjacency[np.ix_(sub, sub)], bound=best - 1)
                 if found:
                     best = 1 + found.bit_count()
             free[orbit] = False
@@ -461,7 +463,8 @@ class CayleyGraph:
         adjacent when z >= 0 (z = -1 is u = v) and (log u + z) mod d lies in
         J.  One zech read per pair; no exp gather and no second log gather.
         A row or column for code 0 takes the membership of the other vertex,
-        since 0 - v = -v and S = -S.
+        since 0 - v = -v and S = -S; sets without 0, such as every witness
+        pool of a subfield, skip that pass.
         """
         t, d = self.table, self.d
         lu = t.log[us].astype(np.int64)[:, None]
@@ -473,16 +476,17 @@ class CayleyGraph:
         cls = lu % d + z
         cls -= cls // d * d  # numpy divides by a scalar faster than it takes `%`
         adj = (z >= 0) & self._j_lut[cls]
-        adj[us == 0] = self._member_mask(vs)
-        adj[:, vs == 0] = self._member_mask(us)[:, None]
+        if not us.all():
+            adj[us == 0] = self._member_mask(vs)
+        if not vs.all():
+            adj[:, vs == 0] = self._member_mask(us)[:, None]
         return adj
 
     def clique_number(self, *, cap: int = 4096) -> int:
         """Exact clique number; vertex-transitivity roots the search at 0."""
         if self.table.q > cap:
             raise CapExceeded(f"clique_number on q={self.table.q} exceeds cap {cap}")
-        masks = _row_masks(self._induced_adjacency(self.connection_set()))
-        return 1 + maximum_clique(masks).bit_count()
+        return 1 + maximum_clique(self._induced_adjacency(self.connection_set())).bit_count()
 
     # ------------------------------------------------------------ subfields
 
@@ -589,15 +593,16 @@ def _degeneracy_order(adjacency: np.ndarray) -> list[int]:
     return order
 
 
-def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = None) -> int:
-    """Maximum clique of a bitset-encoded graph, as a vertex bitmask.
+def maximum_clique(adjacency: np.ndarray, bound: int = 0, stop_at: int | None = None) -> int:
+    """Maximum clique of a graph, as a bitmask of its vertex indices.
 
-    neighbors[v] is the bitmask of vertices adjacent to v (irreflexive,
-    symmetric).  Branch and bound in the Bron-Kerbosch family, with the
-    pivot rule strengthened to a greedy coloring: candidates expand in
-    color order and a branch is cut when R plus its color bound cannot
-    beat the incumbent.  Vertices are relabeled in degeneracy order first,
-    which keeps the colorings tight.
+    adjacency is the boolean adjacency matrix (irreflexive, symmetric).
+    Vertices are relabeled in degeneracy order first, which keeps the
+    colorings tight, and the relabeled rows become neighbor bitmasks:
+    those bitmasks exist only inside the search.  Branch and bound in the
+    Bron-Kerbosch family, with the pivot rule strengthened to a greedy
+    coloring: candidates expand in color order and a branch is cut when R
+    plus its color bound cannot beat the incumbent.
 
     Three further bounds only prune: each skips work that provably holds
     no clique above the incumbent, so the search visits a subset of the
@@ -618,10 +623,9 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
     maximum size the search meets.  With stop_at the search ends at the
     first clique of at least that size.
     """
-    n = len(neighbors)
+    n = len(adjacency)
     if n == 0:
         return 0
-    adjacency = _unpack_masks(neighbors)
     order = _degeneracy_order(adjacency)
     order.reverse()  # densest core gets the low labels
     relabeled = _row_masks(adjacency[np.ix_(order, order)])
@@ -681,11 +685,7 @@ def maximum_clique(neighbors: list[int], bound: int = 0, stop_at: int | None = N
             p_mask ^= vbit
 
     expand(0, 0, (1 << n) - 1)
-    # map back to the original labels
-    out = 0
-    for i in _bits(best_mask):
-        out |= 1 << order[i]
-    return out
+    return sum(1 << order[i] for i in _bits(best_mask))  # back to the input labels
 
 
 def _fits_fewer_classes(cand: int, classes: list[int], neighbors: list[int]) -> bool:
@@ -713,11 +713,3 @@ def _row_masks(adjacency: np.ndarray) -> list[int]:
     """Rows of a boolean adjacency matrix as neighbor bitmasks."""
     packed = np.packbits(adjacency, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack_masks(neighbors: list[int]) -> np.ndarray:
-    """Neighbor bitmasks as a boolean adjacency matrix; inverse of _row_masks."""
-    n = len(neighbors)
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in neighbors), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .cayley import GraphKind, make_graph
 from .charsum import epsilon_star, katz_bound_check
-from .ff import DEFAULT_CAP, CapExceeded, InvariantError, build_field
+from .ff import DEFAULT_CAP, CapExceeded, InvariantError, build_field, refuse_huge_power
 from .verify import (
     NoQualifyingR,
     SweepConfig,
@@ -100,6 +100,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
+    refuse_huge_power(args.p, args.s)
     q = args.p**args.s
     try:
         report = verify_conjecture_case(q, args.d, cap=args.cap)

@@ -58,6 +58,17 @@ class CapExceeded(ValueError):
     """Requested object is larger than the configured size cap."""
 
 
+def refuse_huge_power(p: int, e: int) -> None:
+    """Refuse the field size p^e before computing it when e alone puts it past 2^31.
+
+    |p| >= 2 makes |p|^e >= 2^e, so e >= 31 is past MAX_FIELD whatever p is.
+    The power itself is never built: 3^(10^7) takes seconds, and its digits
+    are too many to print.
+    """
+    if e >= 31 and abs(p) >= 2:
+        raise CapExceeded(f"field size {p}^{e} is not below the int32 table limit 2^31")
+
+
 class NotADivisor(ValueError):
     """Subfield degree that does not divide the extension degree."""
 
@@ -730,6 +741,7 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
         raise ValueError("p must be an odd prime")
     if e < 1:
         raise ValueError(f"extension degree e={e} must be >= 1")
+    refuse_huge_power(p, e)
     q = p**e
     if q >= MAX_FIELD:
         raise CapExceeded(f"field size {p}^{e} = {q} is not below the int32 table limit 2^31")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .cayley import GraphKind, make_graph
 from .charsum import _segment_closest, epsilon_star, unit_root
 from .ff import (DEFAULT_CAP, MAX_FIELD, FieldTable, build_field, divisors, factorize,
-                 is_prime, primerange)
+                 is_prime, primerange, refuse_huge_power)
 
 
 class NoQualifyingR(ValueError):
@@ -73,6 +73,7 @@ def make_case(p: int, s: int, n: int, d: int, kind_name: str) -> CaseParams:
     if d < 2:
         raise ValueError(f"d={d} must be > 1")
     kind = GraphKind.from_name(kind_name, d)
+    refuse_huge_power(p, s * n)
     q = p**s
     if (q**n - 1) % (2 * d) != 0:
         raise ValueError(f"q^n = {q**n} is not 1 mod 2d = {2 * d}")

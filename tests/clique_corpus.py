@@ -1,15 +1,26 @@
 """Small graphs with independently computable clique numbers.
 
-Graphs are neighbor bitmask lists.  The oracle enumerates every clique by
-ordered backtracking, so its answer does not depend on any pruning logic
-in the implementation under test.
+Graphs are neighbor bitmask lists; _unpack_masks turns one into the
+boolean adjacency matrix that maximum_clique takes.  The oracle enumerates
+every clique by ordered backtracking, so its answer does not depend on any
+pruning logic in the implementation under test.
 """
 
 from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from cayley_cliques import GraphKind, build_field, make_graph
+
+
+def _unpack_masks(neighbors: list[int]) -> np.ndarray:
+    """Neighbor bitmasks as a boolean adjacency matrix; inverse of cayley._row_masks."""
+    n = len(neighbors)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in neighbors), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 def induced_bitmasks(graph, vertices: list[int]) -> list[int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayley_cliques
-from clique_corpus import corpus, exhaustive_max_clique, induced_bitmasks
+from clique_corpus import _unpack_masks, corpus, exhaustive_max_clique, induced_bitmasks
 from cayley_cliques import (
     CapExceeded,
     CayleyGraph,
@@ -33,7 +34,7 @@ from cayley_cliques import (
     maximum_clique,
 )
 from cayley_cliques import cayley
-from cayley_cliques.cayley import _bits, _degeneracy_order, _row_masks, _rows_per_block, _unpack_masks
+from cayley_cliques.cayley import _bits, _degeneracy_order, _row_masks, _rows_per_block
 
 # ---------------------------------------------------------------------------
 # kinds
@@ -148,19 +149,19 @@ def test_is_clique_matches_pairwise_adjacency(data):
 @pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 4), (3, 6)])
 def test_pair_kernel_matches_pairwise_adjacency(graphs, p, e):
     """The log-domain pair kernel against adjacent(u, v), pair by pair, on
-    random vertex sets that contain 0, in random order.  From GF(5^4) on,
-    the 200-vertex set spans three row blocks."""
+    random vertex sets with and without 0, in random order.  From GF(5^4)
+    on, the 200-vertex set spans three row blocks."""
     rng = random.Random(p**e)
     q = p**e
     assert _rows_per_block(200) < 200
     for kind in (GraphKind.paley(2), GraphKind.peisert(4)):
         graph = graphs(p, e, kind)
-        for size in (1, 2, 40, min(q, 200)):
-            vs = [0] + rng.sample(range(1, q), size - 1)
+        for size, zero in itertools.product((1, 2, 40, min(q, 200)), (True, False)):
+            vs = [0] * zero + rng.sample(range(1, q), min(size - zero, q - 1))
             rng.shuffle(vs)
             expected = np.array([[u != v and graph.adjacent(u, v) for v in vs] for u in vs], dtype=bool)
             vertices = np.array(vs, dtype=np.int64)
-            assert np.array_equal(graph._induced_adjacency(vertices), expected), (kind, size)
+            assert np.array_equal(graph._induced_adjacency(vertices), expected), (kind, size, zero)
             # Rows and columns from different sets.
             assert np.array_equal(graph._pair_adjacency(vertices[:7], vertices), expected[:7])
             assert np.array_equal(graph._pair_adjacency(vertices, vertices[-5:]), expected[:, -5:])
@@ -375,6 +376,20 @@ def test_corrupt_tables_are_caught_by_the_subfield_cross_checks(gf81):
 
 def test_extension_that_stops_short_is_an_invariant_error(gpstar81_4, monkeypatch):
     monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, pool: base)
+    with pytest.raises(InvariantError, match="non-maximal"):
+        gpstar81_4.extend_to_maximal_clique((0, 1, 2))
+
+
+def test_extension_that_drops_a_base_vertex_is_an_invariant_error(gpstar81_4, monkeypatch):
+    """A maximum clique of the pool without base vertex 0: every added vertex
+    is still adjacent to 0, so the result is not maximal."""
+    extend_exact = CayleyGraph._extend_exact
+
+    def dropped(self, base, pool):
+        clique = extend_exact(self, base, pool)
+        assert len(clique) == 9 and clique[0] == 0
+        return clique[1:]
+    monkeypatch.setattr(CayleyGraph, "_extend_exact", dropped)
     with pytest.raises(InvariantError, match="non-maximal"):
         gpstar81_4.extend_to_maximal_clique((0, 1, 2))
 
@@ -681,7 +696,7 @@ def test_orbit_invariance_check_survives_optimize():
 
 @pytest.mark.parametrize("name,neighbors", corpus(), ids=lambda v: v if isinstance(v, str) else "")
 def test_maximum_clique_matches_exhaustive_search(name, neighbors):
-    assert maximum_clique(neighbors).bit_count() == exhaustive_max_clique(neighbors)
+    assert maximum_clique(_unpack_masks(neighbors)).bit_count() == exhaustive_max_clique(neighbors)
 
 
 def _random_graph(n: int, density: float, rng: random.Random) -> list[int]:
@@ -807,7 +822,8 @@ def test_colour_class_cut_leaves_the_search_unchanged(graphs, monkeypatch):
     assert (len(subproblem), bound) == (343, 19)
     cases += dense + [subproblem]
     for neighbors in cases:
-        omega = maximum_clique(neighbors).bit_count()
+        adjacency = _unpack_masks(neighbors)
+        omega = maximum_clique(adjacency).bit_count()
         assert _uncut_maximum_clique(neighbors).bit_count() == omega
         runs = [(0, None), (max(omega - 1, 0), None), (omega, None)]
         for _ in range(4):
@@ -815,14 +831,14 @@ def test_colour_class_cut_leaves_the_search_unchanged(graphs, monkeypatch):
             runs.append((bound, rng.choice([None, rng.randint(bound + 1, omega + 1)])))
         runs += [(omega + 1, None), (max(omega - 2, 0), omega), (max(omega - 1, 0), omega + 1)]
         for bound, stop_at in runs:
-            assert (maximum_clique(neighbors, bound, stop_at)
+            assert (maximum_clique(adjacency, bound, stop_at)
                     == _uncut_maximum_clique(neighbors, bound, stop_at)), (bound, stop_at)
     assert any(renumbered) and not all(renumbered)
 
 
 def test_maximum_clique_result_is_a_clique():
     for _, neighbors in corpus():
-        mask = maximum_clique(neighbors)
+        mask = maximum_clique(_unpack_masks(neighbors))
         members = [i for i in range(len(neighbors)) if mask >> i & 1]
         for i in members:
             for k in members:

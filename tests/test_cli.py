@@ -175,6 +175,29 @@ def test_clique_extend_command(capsys):
     assert doc["is_maximal"] is True
 
 
+@pytest.mark.parametrize("command,digest", [
+    ("verify", "6639934e993904848b5ea0c6f46495c04a2797e005f0bb83d31a9e7512e71c2d"),
+    ("clique-extend", "2885b372ad270393ad10c4a11c8841e9ab71fc2c793673f659c71146d5301033"),
+], ids=["verify", "clique-extend"])
+def test_exact_extension_of_a_960_pool_is_pinned(capsys, command, digest):
+    """GP(5^8, 3) over F_5: pool of 960 witnesses, extended exactly to 25."""
+    code, out, _ = run(capsys, command, "--p", "5", "--s", "1", "--n", "8", "--d", "3", "--kind", "paley")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("verify", "c4dc300a384b62fa4b3892c6c289d47dcfad809dc3edab8662d8bc5074a71558"),
+    ("clique-extend", "9331912fd84c74bcfc200258a2e208b3a44a359fbf4cc667cee00ba14745326c"),
+], ids=["verify", "clique-extend"])
+def test_greedy_extension_of_a_2160_pool_is_pinned(capsys, command, digest):
+    """GP*(3^12, 182) over F_9: pool of 2,160 witnesses, over the default
+    budget, extended greedily to 27."""
+    code, out, _ = run(capsys, command, "--p", "3", "--s", "2", "--n", "6", "--d", "182", "--kind", "peisert")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_clique_extend_budget_error(capsys):
     # Over budget (the pool of F_3 has 12 vertices) the extension is greedy.
     argv = ["clique-extend", "--p", "3", "--s", "1", "--n", "4", "--d", "4", "--kind", "peisert"]
@@ -271,20 +294,40 @@ def test_field_of_2_to_the_31_elements_exits_2_whatever_the_cap(capsys, monkeypa
     assert code == 2 and "2^31" in err
 
 
+def _assert_refused_past_2_to_the_31(argv, timeout):
+    """The command, in its own process, exits 2 with empty stdout and one
+    error line that names 2^31."""
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "cayley_cliques.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "2^31" in lines[0], lines
+    return lines[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["field", "--p", "2147483659", "--s", "1"],  # a prime past 2^31
     ["conjecture", "--p", "13", "--s", "9", "--d", "2"],  # q = 13^9 > 2^31
 ])
 def test_arguments_past_2_to_the_31_exit_2_with_one_error_line(argv):
-    root = Path(__file__).parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "cayley_cliques.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "2^31" in lines[0], lines
+    _assert_refused_past_2_to_the_31(argv, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3", "--s", "100000000"],
+    ["verify", "--p", "3", "--s", "1", "--n", "100000000", "--d", "2"],
+    ["katz", "--p", "3", "--s", "1", "--n", "100000000", "--d", "2"],
+    ["conjecture", "--p", "3", "--s", "100000000", "--d", "2"],
+])
+def test_huge_exponents_are_refused_before_any_power_is_computed(argv):
+    """3^(10^8) has about 48 million digits; the refusal comes from the
+    exponent alone, so neither the power nor its digits are ever computed."""
+    line = _assert_refused_past_2_to_the_31(argv, timeout=20)
+    assert line == "error: field size 3^100000000 is not below the int32 table limit 2^31"
 
 
 def test_sweep_beyond_2_to_the_31_exits_2_before_enumerating(capsys, monkeypatch):
