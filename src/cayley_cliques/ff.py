@@ -25,15 +25,17 @@ constant scales each base-p digit mod p, so with s = (q-1)/(p-1) and
 c = g^s in F_p*, g^(js+i) = c^j ⊙ g^i: exp is built by the doubling
 kernel for g^0..g^s and the powers of c only, every other row of s
 entries being the first one scaled digitwise (_build_exp).  build_field
-then certifies exp in one streaming pass (_certify): exactly lim - 1
-entries below lim = max(2T, p), T = p^(e-1), covering [1, lim), which
-makes exp a bijection onto the units (proof in build_field).  log is
-built on its first read, not by build_field: it is scattered only for the
-codes below lim, the units with top digit 0 or 1; the log of every other
-code aT + l is log a plus the log of the monic code a^(-1) ⊙ (aT + l) in
-[T, 2T), a gather from that block (_build_log).  So a random write into
-log is paid 2T - 1 times, not q - 1; for e = 1, lim = q and both steps
-reduce to the kernel and one full scatter.
+then certifies exp (_certify) in one pass over the constants column
+exp[::s], which must be the powers of c mod p, and one streaming pass
+over exp: exactly lim - 1 entries below lim = 2T, T = p^(e-1), covering
+[1, lim).  That makes exp a bijection onto the units (proof in
+build_field) with no q-byte map.  log is built on its first read, not by
+build_field: it is scattered only for the codes below max(2T, p), the
+units with top digit 0 or 1; the log of every other code aT + l is
+log a plus the log of the monic code a^(-1) ⊙ (aT + l) in [T, 2T), a
+gather from that block (_build_log).  So a random write into log is paid
+2T - 1 times, not q - 1; for e = 1, max(2T, p) = q and both steps reduce
+to the kernel and one full scatter.
 """
 
 from __future__ import annotations
@@ -384,28 +386,64 @@ def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.n
 
 def _certify(p: int, e: int, q: int, g: int, exp: np.ndarray) -> None:
     """The order certificate of exp (see build_field): raise InvariantError
-    unless exp[0] = 1 and exactly lim - 1 entries of exp lie below
-    lim = max(2T, p), T = p^(e-1), covering [1, lim).
+    unless exp[0] = 1, exp[1] = g and
+    (a) the constants column col = exp[::s], s = (q-1)/(p-1), holds the
+        powers of c = exp[s] mod p: col[j+1] = c col[j] mod p for
+        j < p - 2;
+    (b) exactly lim - 1 entries of exp lie below lim = 2T, T = p^(e-1),
+        and they cover [1, lim).  For e = 1, lim = 2: 1 occurs once.
+    (b) leaves no 0 in exp, so c != 0 and c^(p-1) = 1 mod p by Fermat:
+    the column closes up with no check of its own.
 
-    One streaming pass in _CHUNK slices counts the entries below lim and
-    marks them in a bool array of lim + 1 bytes; entries past lim are
-    clamped onto mark[lim], one hot slot that the test ignores, so they
-    cost no random write.  The message counts every unit missing from exp.
+    exp is read through its uint32 view, so a negative entry lies past q.
+    (b) runs first, one streaming pass in _CHUNK slices: the entries below
+    lim are picked out by index and marked in a bool map of lim bytes, so
+    no entry past lim costs a write.  Its message counts every unit that
+    no in-range entry of exp holds.  (a) runs in _CHUNK slices of the
+    column, in the smallest unsigned type that holds c (p-1).  It tests
+    equality, not congruence, so from col[0] = 1 on each entry is the
+    residue c^j itself, below p (a wrapped product can only follow an
+    earlier failure).  Its message names the first entry off the powers.
     """
-    qm1 = q - 1
-    lim = max(2 * (q // p), p)
-    mark = np.zeros(lim + 1, dtype=bool)
+    qm1, s, lim = q - 1, (q - 1) // (p - 1), 2 * (q // p)
+    codes = exp.view(np.uint32)
+    if int(exp[0]) != 1 or int(exp[1]) != g:
+        raise InvariantError(
+            f"exp of GF({p}^{e}) starts {int(exp[0])}, {int(exp[1])}, not g^0, g^1 = 1, {g}"
+        )
+
+    mark = np.zeros(lim, dtype=bool)
     below = 0
-    index = np.empty(min(_CHUNK, qm1), dtype=np.intp)
     for lo in range(0, qm1, _CHUNK):
-        hi = min(lo + _CHUNK, qm1)
-        below += np.count_nonzero(exp[lo:hi] < lim)
-        mark[np.minimum(exp[lo:hi], lim, out=index[: hi - lo])] = True
-    if int(exp[0]) != 1 or below != lim - 1 or not mark[1:lim].all():
-        covered = int(np.count_nonzero(np.bincount(exp, minlength=q)[1:]))
+        chunk = codes[lo : lo + _CHUNK]
+        hits = chunk.take(np.flatnonzero(chunk < lim))
+        below += len(hits)
+        mark[hits] = True
+    if below != lim - 1 or not mark[1:].all():
+        seen = np.zeros(q, dtype=bool)
+        seen[codes[codes < q]] = True
+        covered = int(np.count_nonzero(seen[1:]))
         raise InvariantError(
             f"g={g} does not generate GF({p}^{e})*: {qm1 - covered} of {qm1} units have no log"
         )
+
+    col, c = codes[::s], int(codes[s])
+    mul_t = np.min_scalar_type(c * (p - 1))
+    buf = np.empty((2, min(_CHUNK, p - 2)), dtype=mul_t)
+    for lo in range(0, p - 2, _CHUNK):
+        run = col[lo : lo + _CHUNK + 1]
+        scaled, quot = buf[:, : len(run) - 1]
+        np.multiply(run[:-1], c, out=scaled, dtype=mul_t)
+        np.floor_divide(scaled, p, out=quot)
+        quot *= p
+        scaled -= quot
+        if not np.array_equal(scaled, run[1:]):
+            bad = np.flatnonzero(scaled != run[1:])
+            k = (lo + int(bad[0]) + 1) * s
+            raise InvariantError(
+                f"exp is not the powers of g={g} in GF({p}^{e}): exp[{k}] = {int(exp[k])}, "
+                f"not c * exp[{k - s}] = {int(scaled[bad[0]])} mod {p} for c = exp[{s}] = {c}"
+            )
 
 
 def _build_log(p: int, e: int, q: int, exp: np.ndarray) -> np.ndarray:
@@ -712,27 +750,34 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     Certificate.  _build_exp gives exp[js+i] = c^j ⊙ exp[i] for i < s =
     (q-1)/(p-1) and j < p-1, with exp[0..s] = g^0..g^s and the powers of
     c = g^s from the doubling kernel.  _certify, run on every build over
-    the whole of exp, raises InvariantError unless exp[0] = 1 and exactly
-    lim - 1 entries of exp lie below lim = max(2T, p), T = p^(e-1), and
-    cover [1, lim).  The codes below lim are the units
-    with top digit 0 or 1 (all units for e = 1), so each of those occurs
-    in exp exactly once.  That makes exp a bijection onto the q - 1 units:
-    - for e = 1, lim = q and this is the claim;
+    the whole of exp, raises InvariantError unless exp[0] = 1, exp[1] = g,
+    the column exp[::s] is c^0, ..., c^(p-2) mod p for c = exp[s], and
+    exactly lim - 1 entries of exp lie below lim = 2T, T = p^(e-1), and
+    cover [1, lim).  The codes below lim are the units with top digit 0
+    or 1, so each of those occurs in exp exactly once, and 0 nowhere.
+    That makes exp a bijection onto the q - 1 units:
+    - for e = 1, s = 1 and lim = 2: the column is all of exp and c = g,
+      so exp[k] = g^k mod p is read off the table itself, and 1 = g^0
+      occurs once, so g has order p - 1.  Nothing of the construction is
+      assumed.
     - for e >= 2 the p - 1 constants c^j = exp[js] lie below p < lim, so
       they are distinct: c generates F_p*.  A unit u with top digit a != 0
       has the monic a^(-1) ⊙ u, which occurs as exp[js+i] = c^j ⊙ exp[i];
       picking j' with c^j' = a c^j, u = c^j' ⊙ exp[i] = exp[j's+i].  Units
       with top digit 0 occur directly, so all q - 1 units occur among the
-      q - 1 entries.
+      q - 1 entries.  The scaled rows off the column are taken as built:
+      one of their entries past lim, changed to another past lim, goes
+      unseen.
     So the g^k = exp[k], k < q-1, are distinct and g generates GF(p^e)*.
-    log, built on its first read by _build_log, is exp's inverse on
-    [1, lim) by the scatter, and on every unit: exp[log a + log m] = a m
-    for the composed log(aT + l) = log a + log(T + σ_a(l)).  Conversely, a
+    log, built on its first read by _build_log, is exp's inverse on the
+    scattered codes, and on every unit: exp[log a + log m] = a m for the
+    composed log(aT + l) = log a + log(T + σ_a(l)).  Conversely, a
     collision in exp[0:s] repeats a whole column and a c of order below
-    p - 1 repeats the constants, so a code below lim (a monic code or a
-    constant) is hit twice, and lim - 1 entries below lim cannot cover
-    [1, lim).  exp is read-only from here on, so the certificate holds for
-    every later read of log and every Zech lookup: it guards addition too.
+    p - 1 repeats the constants (for e = 1, a g of order below p - 1
+    repeats 1), so a code below lim is hit twice, and lim - 1 entries
+    below lim cannot cover [1, lim).  exp is read-only from here on, so the
+    certificate holds for every later read of log and every Zech lookup:
+    it guards addition too.
     """
     p, e = _integer("p", p), _integer("e", e)
     if not is_prime(p):

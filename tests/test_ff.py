@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,79 @@ def test_log_certificate_needs_both_the_count_and_the_cover():
         exp[pos] = code
         with pytest.raises(InvariantError, match="1 of 80 units have no log"):
             ff._certify(3, 4, 81, table.g, exp)
+
+
+def _refusal(table: FieldTable, exp: np.ndarray) -> str:
+    """The message of the InvariantError _certify raises on exp."""
+    with pytest.raises(InvariantError) as refused:
+        ff._certify(table.p, table.e, table.q, table.g, exp)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (7, 1), (3, 4)])
+@pytest.mark.parametrize("value", [-2, -1])
+def test_negative_entries_are_refused_with_a_true_message(p, e, value):
+    # Every entry below lim = 2p^(e-1) and every entry of the column exp[::s]
+    # is replaced in turn.  A unit below lim then has no log; on the column
+    # (all of exp for e = 1) the table stops being the powers of g.
+    table = build_field(p, e)
+    q, s, lim = table.q, (table.q - 1) // (p - 1), 2 * p ** (e - 1)
+    positions = sorted(set(np.flatnonzero(table.exp < lim).tolist()) | set(range(0, q - 1, s)))
+    for pos in positions:
+        exp = table.exp.copy()
+        exp[pos] = value
+        message = _refusal(table, exp)
+        if pos < 2:
+            assert f"starts {int(exp[0])}, {int(exp[1])}," in message
+        elif table.exp[pos] < lim:
+            assert f"1 of {q - 1} units have no log" in message
+        else:
+            assert f"is not the powers of g={table.g}" in message and f"= {value}," in message
+
+
+@pytest.mark.parametrize("p,e,i,j,k", [
+    # exp[s] <-> exp[2s] makes c' = c^2, so the column reads 1, c^2, c and
+    # breaks at exp[2s] = c != c' c^2 = c^4 (c has order p - 1 > 3)
+    (5, 2, 6, 12, 12),
+    (7, 2, 8, 16, 16),
+    # in a prime field the column is all of exp: it breaks at exp[i]
+    (13, 1, 3, 5, 3),
+    (7, 1, 2, 4, 2),
+])
+def test_a_permutation_of_the_units_that_is_not_the_powers_of_g_is_refused(p, e, i, j, k):
+    # Swapping two entries keeps exp a bijection onto the units, so no unit
+    # lacks a log; the refusal names the first entry off the powers of g.
+    table = build_field(p, e)
+    exp = table.exp.copy()
+    exp[[i, j]] = exp[[j, i]]
+    assert sorted(exp.tolist()) == list(range(1, table.q))
+    s = (table.q - 1) // (p - 1)
+    c = int(exp[s])
+    assert _refusal(table, exp) == (
+        f"exp is not the powers of g={table.g} in GF({p}^{e}): exp[{k}] = {int(exp[k])}, "
+        f"not c * exp[{k - s}] = {c * int(exp[k - s]) % p} mod {p} for c = exp[{s}] = {c}"
+    )
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (13, 1), (7, 2)])
+def test_exp_whose_second_entry_is_not_g_is_refused(p, e):
+    table = build_field(p, e)
+    exp = table.exp.copy()
+    exp[[1, 2]] = exp[[2, 1]]
+    assert f"starts 1, {int(table.exp[2])}, not g^0, g^1 = 1, {table.g}" in _refusal(table, exp)
+
+
+def test_certificate_of_a_prime_field_keeps_no_map_of_the_field():
+    # The certificate of GF(4194301) marks 2 bytes and slices exp in chunks:
+    # its traced peak stays far below one byte per element.
+    table = build_field(4194301, 1)
+    tracemalloc.start()
+    try:
+        ff._certify(table.p, table.e, table.q, table.g, table.exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.q // 2
 
 
 def _capture_tables(monkeypatch) -> list[FieldTable]:
