@@ -80,13 +80,13 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
 # command handlers
 
 def _cmd_field(args: argparse.Namespace) -> int:
-    table = build_field(args.p, args.s, cap=args.cap)
+    table = build_field(args.p, args.s, cap=args.cap, keep_exp=False)
     _emit(table.to_json(), args)
     return 0
 
 
 def _cmd_graph_info(args: argparse.Namespace) -> int:
-    table = build_field(args.p, args.s * args.n, cap=args.cap)
+    table = build_field(args.p, args.s * args.n, cap=args.cap, keep_exp=False)
     graph = make_graph(table, GraphKind.from_name(args.kind, args.d))
     _emit(graph.to_json(), args)
     return 0

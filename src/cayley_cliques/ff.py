@@ -22,14 +22,18 @@ over the same (p, e) therefore produce identical tables.
 
 The tables come from the factorisation F* = F_p* x {monic codes}.  A
 constant scales each base-p digit mod p, so with s = (q-1)/(p-1) and
-c = g^s in F_p*, g^(js+i) = c^j ⊙ g^i: exp is built by the doubling
-kernel for g^0..g^s and the powers of c only, every other row of s
-entries being the first one scaled digitwise (_build_exp).  build_field
-then certifies exp (_certify) in one pass over the constants column
-exp[::s], which must be the powers of c mod p, and one streaming pass
-over exp: exactly lim - 1 entries below lim = 2T, T = p^(e-1), covering
-[1, lim).  That makes exp a bijection onto the units (proof in
-build_field) with no q-byte map.  log is built on its first read, not by
+c = g^s in F_p*, g^(js+i) = c^j ⊙ g^i.  exp comes as a stream of blocks
+of its (p-1) x s view (_exp_blocks): row 0, g^0..g^(s-1), from the
+doubling kernel; the constants column exp[::s] = c^j in runs, each after
+the first the one before times c^_CHUNK mod p; every other row the first
+one scaled digitwise.  build_field certifies the stream as it passes
+(_certify): the column must be the powers of c mod p, and exactly lim - 1
+entries lie below lim = 2T, T = p^(e-1), covering [1, lim).  That makes
+exp a bijection onto the units (proof in build_field) with no q-byte map.
+build_field writes each block into exp, or with keep_exp=False (the
+`field` and `graph-info` commands) keeps none: it holds row 0, the column
+and the map of lim bytes, and exp is built through the same stream and
+certificate on its first read.  log is built on its first read, not by
 build_field: it is scattered only for the codes below max(2T, p), the
 units with top digit 0 or 1; the log of every other code aT + l is
 log a plus the log of the monic code a^(-1) ⊙ (aT + l) in [T, 2T), a
@@ -43,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -342,28 +347,61 @@ def _powers(p: int, scale: np.ndarray, out: np.ndarray, pow_p: np.ndarray) -> No
         scale = scale @ scale % p
 
 
-def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.ndarray:
-    """Return the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1, as int32.
+Block = tuple[int, int, np.ndarray]  # (j, i, B), as _exp_blocks yields them
 
-    With s = (q-1)/(p-1), c = g^s lies in F_p*, and multiplying by a
-    constant scales each base-p digit mod p, so g^(js+i) = c^j ⊙ g^i.  Read
-    as a (p-1) x s array, row j of the table is row 0 scaled digitwise by
-    c^j.  So _powers runs only for g^0..g^s and then, in GF(p), for the
-    p - 1 powers of c, the column exp[::s]; every other column is decoded
-    once per chunk and scaled, a band of rows at a time.  For e = 1, s = 1:
-    the second run is the doubling over the whole table, which is all
-    constants, and there are no other columns.  A c that is no nonzero
-    constant means broken arithmetic and raises InvariantError.
+
+def _exp_blocks(p: int, e: int, q: int, modulus: tuple[int, ...], g: int,
+                out: np.ndarray | None = None) -> Iterator[Block]:
+    """Yield the exp codes g^0, ..., g^(q-2) of GF(p^e), e >= 1, as int32
+    blocks of rows = exp.reshape(p-1, s), s = (q-1)/(p-1): each block B
+    comes as (j, i, B) with B = rows[j : j + len(B), i : i + B.shape[1]].
+
+    With c = g^s in F_p*, and multiplying by a constant scaling each base-p
+    digit mod p, g^(js+i) = c^j ⊙ g^i: row j is row 0 scaled digitwise by
+    the column entry c^j.  The blocks, in this order:
+    - the first _CHUNK run of the column rows[:, 0] = c^0, c^1, ... from the
+      doubling kernel (_powers in GF(p)), so exp[0] and exp[s] come first;
+    - row 0 past its column, g^1..g^(s-1), in _CHUNK slices, from the
+      doubling kernel for g^0..g^s (g^s = c);
+    - the later column runs, each the one before times c^_CHUNK mod p;
+    - the digit-scaled blocks rows[j, i] = c^j ⊙ rows[0, i], i >= 1, j >= 1,
+      one digit decode per chunk of row 0 and a band of rows at a time.
+    For e = 1, s = 1 and the column is the whole table.  A c that is no
+    nonzero constant means broken arithmetic and raises InvariantError.
+
+    With out, an int32 array of q - 1 entries, every block is a view of
+    out.reshape(p - 1, s), written once and never again.  Without it, the
+    producer holds only row 0 and, for e >= 2, the column (p - 1 <= sqrt(q)
+    entries); for e = 1 it holds one run, so a block is valid until the
+    next one is asked for.
     """
     s = (q - 1) // (p - 1)
-    exp = np.empty(q - 1, dtype=np.int32)
     pow_p = p ** np.arange(e + 1, dtype=np.int32)  # p^e = q < MAX_FIELD
-    _powers(p, _mul_matrices(np.array([g], dtype=np.int64), p, modulus)[0], exp[: s + 1], pow_p)
-    c = int(exp[s])
+    rows = None if out is None else out.reshape(p - 1, s)
+    head = np.empty(s + 1, dtype=np.int32) if out is None else out[: s + 1]  # g^0..g^s
+    _powers(p, _mul_matrices(np.array([g], dtype=np.int64), p, modulus)[0], head, pow_p)
+    c = int(head[s])
     if not 0 < c < p:
         raise InvariantError(f"g^{s} = {c} in GF({p}^{e}) is not a nonzero constant")
-    rows = exp.reshape(p - 1, s)
-    _powers(p, np.array([[c]]), rows[:, 0], pow_p[:2])  # M(c) in GF(p)
+
+    held = rows is not None or e > 1  # the scaled rows read the whole column
+    if rows is not None:
+        col = rows[:, 0]
+    else:
+        col = np.empty(p - 1 if held else min(_CHUNK, p - 1), dtype=np.int32)
+    run = col[:_CHUNK]
+    _powers(p, np.array([[c]]), run, pow_p[:2])  # M(c) in GF(p)
+    yield 0, 0, run[:, None]
+    for lo in range(1, s, _CHUNK):
+        yield 0, lo, head[None, lo : min(lo + _CHUNK, s)]
+    step = pow(c, _CHUNK, p)
+    for lo in range(_CHUNK, p - 1, _CHUNK):
+        nxt = np.multiply(run[: p - 1 - lo], step, dtype=np.int64)  # < p^2 < 2^62
+        nxt -= nxt // p * p
+        run = col[lo : lo + len(nxt)] if held else run[: len(nxt)]  # else reused
+        run[:] = nxt
+        yield lo, 0, run[:, None]
+
     # Digits and constants share a type that holds (p-1)^2, so each product
     # needs one reduction; the Horner encoding runs in int32, every partial
     # value below q < MAX_FIELD.
@@ -371,79 +409,112 @@ def _build_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int) -> np.n
     width = _CHUNK // e
     for lo in range(1, s, width):
         hi = min(lo + width, s)
-        digits = _digit_rows(exp[lo:hi], p, pow_p, mul_t)[:, None, :]
+        digits = _digit_rows(head[lo:hi], p, pow_p, mul_t)[:, None, :]
         band = max(1, _CHUNK // (e * (hi - lo)))
         for j in range(1, p - 1, band):
-            scaled = digits * rows[j : j + band, :1].astype(mul_t)  # by c^j
+            scaled = digits * col[j : j + band, None].astype(mul_t)  # by c^j
             scaled -= scaled // p * p
-            code = rows[j : j + band, lo:hi]
-            code[:] = scaled[-1]
+            if rows is None:
+                code = scaled[-1].astype(np.int32)
+            else:
+                code = rows[j : j + band, lo:hi]
+                code[:] = scaled[-1]
             for i in range(e - 2, -1, -1):
                 code *= p
                 code += scaled[i]
-    return exp
+            yield j, lo, code
 
 
-def _certify(p: int, e: int, q: int, g: int, exp: np.ndarray) -> None:
-    """The order certificate of exp (see build_field): raise InvariantError
-    unless exp[0] = 1, exp[1] = g and
-    (a) the constants column col = exp[::s], s = (q-1)/(p-1), holds the
-        powers of c = exp[s] mod p: col[j+1] = c col[j] mod p for
-        j < p - 2;
+def _certify(p: int, e: int, q: int, g: int, blocks: Callable[[], Iterable[Block]]) -> None:
+    """The order certificate of exp (see build_field), read from one pass
+    over blocks(), a stream of exp blocks as _exp_blocks yields them: raise
+    InvariantError unless the blocks hold q - 1 entries, p - 1 of them in
+    the column col = exp[::s], s = (q-1)/(p-1), exp[0] = 1, exp[1] = g and
+    (a) the column holds the powers of c = exp[s] mod p: col[j+1] = c col[j]
+        mod p for j < p - 2;
     (b) exactly lim - 1 entries of exp lie below lim = 2T, T = p^(e-1),
         and they cover [1, lim).  For e = 1, lim = 2: 1 occurs once.
     (b) leaves no 0 in exp, so c != 0 and c^(p-1) = 1 mod p by Fermat:
     the column closes up with no check of its own.
 
-    exp is read through its uint32 view, so a negative entry lies past q.
-    (b) runs first, one streaming pass in _CHUNK slices: the entries below
-    lim are picked out by index and marked in a bool map of lim bytes, so
-    no entry past lim costs a write.  Its message counts every unit that
-    no in-range entry of exp holds.  (a) runs in _CHUNK slices of the
-    column, in the smallest unsigned type that holds c (p-1).  It tests
-    equality, not congruence, so from col[0] = 1 on each entry is the
-    residue c^j itself, below p (a wrapped product can only follow an
-    earlier failure).  Its message names the first entry off the powers.
+    Blocks are read through their uint32 view, so a negative entry lies
+    past q.  The column's blocks (i = 0) must come in order of j, the first
+    holding col[0] and col[1]; other blocks may come in any order.  Each
+    block's entries below lim are picked out and marked in a bool map of
+    lim bytes, so no entry past lim costs a write.  (a) runs on each column
+    block in the smallest unsigned type that holds c (p-1), the last entry
+    of one block carried into the next.  It tests equality, not congruence,
+    so from col[0] = 1 on each entry is the residue c^j itself, below p (a
+    wrapped product can only follow an earlier failure).  The checks are
+    decided after the pass: the entry counts, exp[0] and exp[1], then (b),
+    whose message counts every unit that no in-range entry of exp holds, in
+    a second pass over blocks(), then (a), whose message names the first
+    entry off the powers.
     """
     qm1, s, lim = q - 1, (q - 1) // (p - 1), 2 * (q // p)
-    codes = exp.view(np.uint32)
-    if int(exp[0]) != 1 or int(exp[1]) != g:
-        raise InvariantError(
-            f"exp of GF({p}^{e}) starts {int(exp[0])}, {int(exp[1])}, not g^0, g^1 = 1, {g}"
-        )
-
     mark = np.zeros(lim, dtype=bool)
-    below = 0
-    for lo in range(0, qm1, _CHUNK):
-        chunk = codes[lo : lo + _CHUNK]
-        hits = chunk.take(np.flatnonzero(chunk < lim))
+    size = below = col_len = 0
+    start = [None, None]  # exp[0], exp[1]
+    c = prev = slip = None  # slip: the first column entry off the powers
+    for j, i, block in blocks():
+        codes = block.view(np.uint32)
+        size += codes.size
+        if codes.flags.c_contiguous:  # a strided block takes the mask: ravel would copy it
+            hits = codes.ravel().compress(codes.ravel() < lim)
+        else:
+            hits = codes[codes < lim]
         below += len(hits)
         mark[hits] = True
+        if j == 0 and i <= 1 < i + block.shape[1]:  # s > 1: exp[1] opens row 0
+            start[1] = int(block[0, 1 - i])
+        if i != 0:
+            continue
+        if j != col_len:
+            raise InvariantError(f"exp column of GF({p}^{e}) resumes at row {j}, not {col_len}")
+        run = codes[:, 0]
+        col_len += len(run)
+        if slip is not None:
+            continue
+        if c is None:
+            start[0] = int(block[0, 0])
+            if s == 1:
+                start[1] = int(block[1, 0])
+            c = int(run[1])
+            mul_t = np.min_scalar_type(c * (p - 1))
+        elif run[0] != prev * c % p:
+            slip = j, int(block[0, 0]), prev * c % p
+            continue
+        scaled = np.multiply(run[:-1], c, dtype=mul_t)
+        scaled -= scaled // p * p
+        if not np.array_equal(scaled, run[1:]):
+            bad = int(np.flatnonzero(scaled != run[1:])[0])
+            slip = j + bad + 1, int(block[bad + 1, 0]), int(scaled[bad])
+        prev = int(run[-1])
+
+    if size != qm1 or col_len != p - 1:
+        raise InvariantError(
+            f"exp blocks of GF({p}^{e}) hold {size} entries, {col_len} in its column, "
+            f"not {qm1} and {p - 1}"
+        )
+    if start != [1, g]:
+        raise InvariantError(
+            f"exp of GF({p}^{e}) starts {start[0]}, {start[1]}, not g^0, g^1 = 1, {g}"
+        )
     if below != lim - 1 or not mark[1:].all():
         seen = np.zeros(q, dtype=bool)
-        seen[codes[codes < q]] = True
+        for _, _, block in blocks():
+            codes = block.view(np.uint32)
+            seen[codes[codes < q]] = True
         covered = int(np.count_nonzero(seen[1:]))
         raise InvariantError(
             f"g={g} does not generate GF({p}^{e})*: {qm1 - covered} of {qm1} units have no log"
         )
-
-    col, c = codes[::s], int(codes[s])
-    mul_t = np.min_scalar_type(c * (p - 1))
-    buf = np.empty((2, min(_CHUNK, p - 2)), dtype=mul_t)
-    for lo in range(0, p - 2, _CHUNK):
-        run = col[lo : lo + _CHUNK + 1]
-        scaled, quot = buf[:, : len(run) - 1]
-        np.multiply(run[:-1], c, out=scaled, dtype=mul_t)
-        np.floor_divide(scaled, p, out=quot)
-        quot *= p
-        scaled -= quot
-        if not np.array_equal(scaled, run[1:]):
-            bad = np.flatnonzero(scaled != run[1:])
-            k = (lo + int(bad[0]) + 1) * s
-            raise InvariantError(
-                f"exp is not the powers of g={g} in GF({p}^{e}): exp[{k}] = {int(exp[k])}, "
-                f"not c * exp[{k - s}] = {int(scaled[bad[0]])} mod {p} for c = exp[{s}] = {c}"
-            )
+    if slip is not None:
+        k, value, expected = slip[0] * s, slip[1], slip[2]
+        raise InvariantError(
+            f"exp is not the powers of g={g} in GF({p}^{e}): exp[{k}] = {value}, "
+            f"not c * exp[{k - s}] = {expected} mod {p} for c = exp[{s}] = {c}"
+        )
 
 
 def _build_log(p: int, e: int, q: int, exp: np.ndarray) -> np.ndarray:
@@ -520,7 +591,9 @@ class FieldTable:
     g : int
         Code of the primitive root the tables are based on.
     exp : int32 ndarray, shape (q-1,)
-        exp[k] is the code of g^k.
+        exp[k] is the code of g^k.  Certified by build_field, which keeps
+        it unless told keep_exp=False; then it is built through the same
+        certificate on the first read.
     log : int32 ndarray, shape (q,)
         Discrete log base g; log[0] = -1 is a sentinel, never a valid log.
         Built from the certified exp on the first read, not by build_field.
@@ -533,21 +606,23 @@ class FieldTable:
         (memoryview.obj), so a table and its view cannot disagree, and
         exp, log and zech cannot be rebound.
 
-    The tables take 4 bytes per element after build_field, 8 once log is
-    read and 12 once zech is built; the views share their memory.  A log
-    passed to the constructor is used as given, unchecked: that is how
-    tests build corrupt tables.
+    The tables take 4 bytes per element after build_field (none with
+    keep_exp=False), 8 once log is read and 12 once zech is built; the
+    views share their memory.  A log passed to the constructor is used as
+    given, unchecked: that is how tests build corrupt tables.
     """
 
-    def __init__(self, params: FieldParams, g: int, exp: np.ndarray, log: np.ndarray | None = None):
+    def __init__(self, params: FieldParams, g: int, exp: np.ndarray | None = None,
+                 log: np.ndarray | None = None):
         self.params = params
         self.p = params.p
         self.e = params.e
         self.q = params.p**params.e
         self.qm1 = self.q - 1
         self.g = g
-        exp.setflags(write=False)
-        self.exp_view = memoryview(exp)
+        if exp is not None:
+            exp.setflags(write=False)
+            self.exp_view = memoryview(exp)  # shadows the cached_property
         if log is not None:
             log.setflags(write=False)
             self.log_view = memoryview(log)  # shadows the cached_property
@@ -555,6 +630,13 @@ class FieldTable:
     @property
     def exp(self) -> np.ndarray:
         return self.exp_view.obj
+
+    @cached_property
+    def exp_view(self) -> memoryview:
+        """exp, built and certified on first use when build_field kept none."""
+        exp = _certified_exp(self.p, self.e, self.q, self.params.modulus, self.g, keep=True)
+        exp.setflags(write=False)
+        return memoryview(exp)
 
     @property
     def log(self) -> np.ndarray:
@@ -585,7 +667,7 @@ class FieldTable:
 
         1 + x only bumps the constant digit of x's code, wrapping p - 1 to
         0: the codes y = x + 1 with y mod p == 0 lose p again.  The
-        remainder is taken as y - (y // p) * p, as in _build_exp: numpy
+        remainder is taken as y - (y // p) * p, as in _exp_blocks: numpy
         divides by a scalar with a multiply and shift, but not in `%`.  The
         wrap subtracts p times the 0/1 mask rather than through it, and the
         lookup writes into zech directly: no masked scatter, no copy.
@@ -740,21 +822,35 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name}={value!r} is not an integer") from None
 
 
-def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
+def _certified_exp(p: int, e: int, q: int, modulus: tuple[int, ...], g: int,
+                   *, keep: bool) -> np.ndarray | None:
+    """One pass of _exp_blocks through _certify: the certified exp when
+    keep, else None, with no table held past a block."""
+    exp = np.empty(q - 1, dtype=np.int32) if keep else None
+    _certify(p, e, q, g, lambda: _exp_blocks(p, e, q, modulus, g, exp))
+    return exp
+
+
+def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP, keep_exp: bool = True) -> FieldTable:
     """Build the tables for GF(p^e); p an odd prime, e >= 1, p^e <= cap.
 
     p and e may be any integer type, numpy's included (operator.index);
     anything else, 3.0 say, raises TypeError.  Fields of MAX_FIELD = 2^31
-    elements or more are refused whatever the cap.
+    elements or more are refused whatever the cap.  keep_exp=False makes
+    the same pass over exp and certificate but stores no block, for callers
+    that need only p, e, the modulus and g; exp is then built, through the
+    same stream and certificate, on its first read.
 
-    Certificate.  _build_exp gives exp[js+i] = c^j ⊙ exp[i] for i < s =
-    (q-1)/(p-1) and j < p-1, with exp[0..s] = g^0..g^s and the powers of
-    c = g^s from the doubling kernel.  _certify, run on every build over
-    the whole of exp, raises InvariantError unless exp[0] = 1, exp[1] = g,
-    the column exp[::s] is c^0, ..., c^(p-2) mod p for c = exp[s], and
-    exactly lim - 1 entries of exp lie below lim = 2T, T = p^(e-1), and
-    cover [1, lim).  The codes below lim are the units with top digit 0
-    or 1, so each of those occurs in exp exactly once, and 0 nowhere.
+    Certificate.  _exp_blocks yields exp[js+i] = c^j ⊙ exp[i] for i < s =
+    (q-1)/(p-1) and j < p-1, with exp[0..s] = g^0..g^s from the doubling
+    kernel and the column exp[::s] as runs of powers of c = g^s.  _certify,
+    run on every build over every block of that stream as it passes, kept
+    or not, raises InvariantError unless the blocks hold q - 1 entries,
+    exp[0] = 1, exp[1] = g, the column exp[::s] is c^0, ..., c^(p-2) mod p
+    for c = exp[s], and exactly lim - 1 entries of exp lie below lim = 2T,
+    T = p^(e-1), and cover [1, lim).  The codes below lim are the units
+    with top digit 0 or 1, so each of those occurs in exp exactly once, and
+    0 nowhere.
     That makes exp a bijection onto the q - 1 units:
     - for e = 1, s = 1 and lim = 2: the column is all of exp and c = g,
       so exp[k] = g^k mod p is read off the table itself, and 1 = g^0
@@ -775,9 +871,9 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     collision in exp[0:s] repeats a whole column and a c of order below
     p - 1 repeats the constants (for e = 1, a g of order below p - 1
     repeats 1), so a code below lim is hit twice, and lim - 1 entries
-    below lim cannot cover [1, lim).  exp is read-only from here on, so the
-    certificate holds for every later read of log and every Zech lookup:
-    it guards addition too.
+    below lim cannot cover [1, lim).  exp is read-only from here on, and
+    exp built on a first read passes the same certificate, so it holds for
+    every later read of log and every Zech lookup: it guards addition too.
     """
     p, e = _integer("p", p), _integer("e", e)
     if not is_prime(p):
@@ -796,6 +892,5 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP) -> FieldTable:
     modulus = (0, 1) if e == 1 else _smallest_irreducible(p, e)
     g = _smallest_generator(p, e, q, modulus)
 
-    exp = _build_exp(p, e, q, modulus, g)
-    _certify(p, e, q, g, exp)
+    exp = _certified_exp(p, e, q, tuple(modulus), g, keep=keep_exp)
     return FieldTable(FieldParams(p, e, tuple(modulus)), g, exp)

@@ -465,8 +465,10 @@ def test_non_generator_is_an_invariant_error_under_optimize():
         "    ff.build_field(13, 1)\n"
         "except ff.InvariantError as exc:\n"
         "    print(exc)\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n"
+        "else:\n"
+        "    sys.exit(1)\n"
+        "from cayley_cliques import cli\n"
+        "sys.exit(cli.main(['field', '--p', '13', '--s', '1']) != 1)\n"
     )
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -474,6 +476,8 @@ def test_non_generator_is_an_invariant_error_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "9 of 12 units have no log" in done.stdout
+    [line] = done.stderr.splitlines()  # `field` keeps no exp, yet certifies it
+    assert line.startswith("error: ") and "9 of 12 units have no log" in line
 
 
 # g^5 in GF(3^4) has order 16: exp[0:40] collides while c = g^200 = -1 still
@@ -515,13 +519,21 @@ def test_log_certificate_needs_both_the_count_and_the_cover():
         exp = table.exp.copy()
         exp[pos] = code
         with pytest.raises(InvariantError, match="1 of 80 units have no log"):
-            ff._certify(3, 4, 81, table.g, exp)
+            ff._certify(3, 4, 81, table.g, _blocks(exp, 3))
+
+
+def _blocks(exp: np.ndarray, p: int):
+    """exp as a stream of blocks for _certify: bands of at least two whole
+    rows of its (p-1) x s view, about ff._CHUNK entries each."""
+    rows = exp.reshape(p - 1, -1)
+    band = max(2, ff._CHUNK // rows.shape[1])
+    return lambda: ((j, 0, rows[j : j + band]) for j in range(0, p - 1, band))
 
 
 def _refusal(table: FieldTable, exp: np.ndarray) -> str:
     """The message of the InvariantError _certify raises on exp."""
     with pytest.raises(InvariantError) as refused:
-        ff._certify(table.p, table.e, table.q, table.g, exp)
+        ff._certify(table.p, table.e, table.q, table.g, _blocks(exp, table.p))
     return str(refused.value)
 
 
@@ -554,6 +566,9 @@ def test_negative_entries_are_refused_with_a_true_message(p, e, value):
     # in a prime field the column is all of exp: it breaks at exp[i]
     (13, 1, 3, 5, 3),
     (7, 1, 2, 4, 2),
+    # the first entry of the second block of the column, checked against
+    # the last entry of the first
+    (1048573, 1, 1 << 16, (1 << 16) + 1, 1 << 16),
 ])
 def test_a_permutation_of_the_units_that_is_not_the_powers_of_g_is_refused(p, e, i, j, k):
     # Swapping two entries keeps exp a bijection onto the units, so no unit
@@ -570,6 +585,18 @@ def test_a_permutation_of_the_units_that_is_not_the_powers_of_g_is_refused(p, e,
     )
 
 
+def test_a_stream_with_a_block_missing_or_out_of_order_is_refused():
+    # Every block must reach the certificate, and the column's in order.
+    p, g = 1048573, build_field(1048573, 1).g
+    blocks = list(ff._exp_blocks(p, 1, p, (0, 1), g, np.empty(p - 1, dtype=np.int32)))
+    kept = p - 1 - blocks[-1][2].size
+    with pytest.raises(InvariantError, match=f"hold {kept} entries, {kept} in its column, "
+                       f"not {p - 1} and {p - 1}"):
+        ff._certify(p, 1, p, g, lambda: blocks[:-1])
+    with pytest.raises(InvariantError, match=f"resumes at row {2 << 16}, not {1 << 16}"):
+        ff._certify(p, 1, p, g, lambda: [blocks[0], blocks[2], blocks[1]] + blocks[3:])
+
+
 @pytest.mark.parametrize("p,e", [(3, 4), (13, 1), (7, 2)])
 def test_exp_whose_second_entry_is_not_g_is_refused(p, e):
     table = build_field(p, e)
@@ -584,11 +611,48 @@ def test_certificate_of_a_prime_field_keeps_no_map_of_the_field():
     table = build_field(4194301, 1)
     tracemalloc.start()
     try:
-        ff._certify(table.p, table.e, table.q, table.g, table.exp)
+        ff._certify(table.p, table.e, table.q, table.g, _blocks(table.exp, table.p))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < table.q // 2
+
+
+@pytest.mark.parametrize("p,e", [(4093, 2), (13, 6)])
+def test_field_command_keeps_no_table(capsys, p, e):
+    # exp alone takes 4q bytes.  `field` certifies it from a stream of blocks
+    # and holds row 0 (s + 1 codes, 4q / 12 bytes for GF(13^6)), the column
+    # and a map of lim = 2p^(e-1) bytes: its traced peak stays below q bytes.
+    tracemalloc.start()
+    try:
+        assert cli.main(["field", "--p", str(p), "--s", str(e)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out
+    assert peak < p**e
+
+
+@pytest.mark.parametrize("p,e", [(1048573, 1), (3, 4), (13, 6)])
+@pytest.mark.parametrize("keep_exp", [True, False])
+def test_the_certificate_sees_every_entry(monkeypatch, p, e, keep_exp):
+    # Every block _exp_blocks yields passes through _certify: their sizes add
+    # up to q - 1 whether build_field keeps exp or not.  GF(1048573) is a
+    # prime field whose column, all of exp, takes 16 runs.
+    sizes = []
+    exp_blocks = ff._exp_blocks
+
+    def counted(*args):
+        for j, i, block in exp_blocks(*args):
+            sizes.append(block.size)
+            yield j, i, block
+
+    monkeypatch.setattr(ff, "_exp_blocks", counted)
+    table = build_field(p, e, keep_exp=keep_exp)
+    assert sum(sizes) == table.q - 1
+    assert ("exp_view" in vars(table)) == keep_exp
+    if e == 1:
+        assert len(sizes) == -(-(table.q - 1) // ff._CHUNK) == 16
 
 
 def _capture_tables(monkeypatch) -> list[FieldTable]:
@@ -614,6 +678,12 @@ def test_build_field_and_the_table_free_commands_build_no_log(monkeypatch, capsy
     for table in tables:
         assert "log_view" not in vars(table)
         assert "zech_view" not in vars(table)
+    # field and graph-info certify exp as a stream and keep none of it; a
+    # later read builds it through the same certificate, with the same bytes
+    assert ["exp_view" in vars(table) for table in tables] == [True, False, False]
+    exp = tables[1].exp
+    assert not exp.flags.writeable and tables[1].exp is exp
+    assert hashlib.sha256(exp.astype("<i4").tobytes()).hexdigest() == TABLE_DIGESTS[4093, 2][0]
 
 
 def test_log_is_built_once_on_first_read(monkeypatch):
@@ -629,22 +699,42 @@ def test_log_is_built_once_on_first_read(monkeypatch):
     assert int(log[0]) == -1 and not log.flags.writeable
 
 
-def test_corrupt_exp_is_refused_by_build_field_before_any_log(monkeypatch):
-    # exp[7] = exp[8] repeats one unit and loses another; build_field itself
-    # must raise, and _build_log must never run on the corrupt table.
-    build_exp = ff._build_exp
+def _corrupt_row_0(monkeypatch) -> tuple[list, list[FieldTable]]:
+    """Make _exp_blocks of GF(3^4) yield row 0 (exp[1:40]) with exp[7] = exp[8],
+    which repeats one unit and loses another.  The copy leaves the rows built
+    from row 0 intact.  Returns the calls of _build_log (which records them
+    and builds nothing) and the FieldTables constructed."""
+    exp_blocks = ff._exp_blocks
 
     def corrupt(*args):
-        exp = build_exp(*args)
-        exp[7] = exp[8]
-        return exp
+        for j, i, block in exp_blocks(*args):
+            if (j, i) == (0, 1):
+                block = block.copy()
+                block[0, 6] = block[0, 7]
+            yield j, i, block
 
     built = []
-    monkeypatch.setattr(ff, "_build_exp", corrupt)
+    monkeypatch.setattr(ff, "_exp_blocks", corrupt)
     monkeypatch.setattr(ff, "_build_log", lambda *args: built.append(args))
-    tables = _capture_tables(monkeypatch)
+    return built, _capture_tables(monkeypatch)
+
+
+def test_corrupt_exp_is_refused_by_build_field_before_any_log(monkeypatch):
+    # build_field itself must raise, and _build_log must never run on the
+    # corrupt table.
+    built, tables = _corrupt_row_0(monkeypatch)
     with pytest.raises(InvariantError, match="1 of 80 units have no log"):
         build_field(3, 4)
+    assert built == [] and tables == []
+
+
+def test_corrupt_exp_is_refused_by_the_table_free_field_command(monkeypatch, capsys):
+    # `field` keeps no exp, yet certifies every block: one error line, exit 1.
+    built, tables = _corrupt_row_0(monkeypatch)
+    assert cli.main(["field", "--p", "3", "--s", "4"]) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and line.startswith("error: ") and "1 of 80 units have no log" in line
     assert built == [] and tables == []
 
 
