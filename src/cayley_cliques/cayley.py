@@ -6,8 +6,8 @@ a class set J.  Paley graphs take J = {0} (the d-th powers), Peisert
 graphs take J = {0, ..., d/2 - 1}.  Requiring q == 1 (mod 2d) makes
 -1 a d-th power, so S = -S and the graphs are undirected.
 
-No adjacency matrix of the whole graph is materialized; adjacency
-queries go through the field's log table, and neighborhood scans filter
+No adjacency matrix of the whole graph is materialized: membership in S
+is read from the field's log table, and neighborhood scans filter
 candidate arrays one clique vertex at a time.  A set that contains a
 subfield starts from one representative exponent per coset of a subgroup
 that fixes the subfield and S, not from the whole field (see
@@ -51,10 +51,6 @@ class DegenerateModulus(ValueError):
 
 class EmptyJ(ValueError):
     """Empty residue class set."""
-
-
-class SelfLoopQuery(ValueError):
-    """Adjacency query with u == v."""
 
 
 class NotAClique(ValueError):
@@ -169,12 +165,7 @@ class CayleyGraph:
     def __repr__(self) -> str:
         return f"CayleyGraph({self.kind.name}, q={self.table.q}, d={self.d})"
 
-    # ----------------------------------------------------------- adjacency
-
-    def in_connection_set(self, x: Element) -> bool:
-        if x == 0:
-            return False
-        return bool(self._j_lut[self.table.log_view[x] % self.d])
+    # ------------------------------------------------------ connection set
 
     def connection_set(self) -> np.ndarray:
         """All codes in S, ascending."""
@@ -184,11 +175,6 @@ class CayleyGraph:
     def _member_mask(self, codes: np.ndarray) -> np.ndarray:
         residues = self.table.log[codes] % self.d  # log[0] = -1 folds to d-1; masked below
         return (codes != 0) & self._j_lut[residues]
-
-    def adjacent(self, u: Element, v: Element) -> bool:
-        if u == v:
-            raise SelfLoopQuery(f"adjacency of {u} with itself is undefined")
-        return self.in_connection_set(self.table.sub(u, v))
 
     # -------------------------------------------------------------- cliques
 

@@ -2,9 +2,11 @@
 of lower-bounded sets.
 
 A character of order d on GF(q)* (d | q-1) sends exp[k] to zeta_d^(k mod d).
-Sums over field elements are accumulated exactly as integer counts per
-root-of-unity class; floating point enters only when a magnitude is needed,
-and then through compensated summation, so 1e-9 tolerances are meaningful.
+A Character holds only the table and d; line_sum reads the class of each
+term off the log table.  Sums over field elements are accumulated exactly
+as integer counts per root-of-unity class (RootOfUnitySum); floating point
+enters only when a magnitude is needed, and then through compensated
+summation, so 1e-9 tolerances are meaningful.
 Equal counts give equal magnitudes, so the Katz scan computes one magnitude
 per distinct class-count vector, and it finds its theta from log residues
 (theta lies in a subfield exactly when its log is a multiple of that
@@ -26,10 +28,6 @@ from functools import lru_cache
 from .ff import Element, FieldTable, NotADivisor
 
 
-class ZeroArgument(ValueError):
-    """Character evaluated at 0, which is outside its domain."""
-
-
 class ZeroEncountered(ValueError):
     """A sum term theta + a hit 0, where the character is undefined."""
 
@@ -43,19 +41,14 @@ class NoValidTheta(ValueError):
 
 
 class Character:
-    """Multiplicative character of order exactly d on the field's units."""
+    """Multiplicative character of order exactly d on the field's units:
+    the table and d, which line_sum and katz_bound_check read."""
 
     def __init__(self, table: FieldTable, d: int):
         if d < 1 or table.qm1 % d != 0:
             raise NotADivisor(f"character order d={d} must divide q-1={table.qm1}")
         self.table = table
         self.d = d
-
-    def chi_class(self, x: Element) -> int:
-        """k with chi(x) = zeta_d^k; hard error at 0."""
-        if x == 0:
-            raise ZeroArgument("character undefined at 0")
-        return self.table.log_view[x] % self.d
 
     def __repr__(self) -> str:
         return f"Character(GF({self.table.p}^{self.table.e}), d={self.d})"
@@ -84,13 +77,6 @@ class RootOfUnitySum:
     @staticmethod
     def zero(d: int) -> "RootOfUnitySum":
         return RootOfUnitySum(d, [0] * d)
-
-    def add_class(self, j: int, mult: int = 1) -> None:
-        self.counts[j % self.d] += mult
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
     def value(self) -> complex:
         cos, sin = _unit_circle(self.d)

@@ -32,6 +32,8 @@ from .verify import (
 )
 
 ENV_CAP = "CAYLEY_CLIQUE_CAP"
+# J and its weights take about 110 B per unit of d: 145 MB peak at d = 2^20.
+EPSILON_MAX_D = 1 << 20
 
 
 def _resolve_cap(flag_value: int | None) -> int:
@@ -156,6 +158,9 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
     if args.d > args.cap:
         raise CapExceeded(f"--d {args.d} exceeds the cap {args.cap}: a d-th character "
                           f"needs d | q-1 for a field of at most {args.cap} elements")
+    if args.d > EPSILON_MAX_D:
+        raise CapExceeded(f"--d {args.d} exceeds {EPSILON_MAX_D}, the limit of epsilon: "
+                          "its J and weights take about 110 bytes per unit of d")
     j = range(args.d // 2)
     result = epsilon_star(args.d, j)
     doc = {

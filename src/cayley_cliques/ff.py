@@ -3,15 +3,15 @@
 An element of GF(p^e) is an integer code in [0, q), q = p^e, packing the
 coefficients of its polynomial representative as base-p digits, constant
 coefficient least significant.  A FieldTable carries exp/log tables for
-the full multiplicative group, so products, inverses and powers are O(1)
-lookups.  Addition is a lookup too, in the log domain: with Zech logarithms
+the full multiplicative group: a product is exp[log a + log b], one
+lookup.  Addition is a lookup too, in the log domain: with Zech logarithms
 Z[k] = log(1 + g^k), log(a + b) = log a + Z[log b - log a] (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990; the lookup
 mode of the galois library, https://github.com/mhostetter/galois, keeps
 the same three tables).  Prime and extension fields share every method.
-Scalar operations index zero-copy read-only memoryviews of the same
+The scalar add indexes zero-copy read-only memoryviews of the same
 tables, so each lookup is one buffer read, not an ndarray method call;
-vectorized operations index the arrays.
+add_many and sub_many index the arrays.
 
 Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficient
@@ -528,7 +528,10 @@ def _build_log(p: int, e: int, q: int, exp: np.ndarray) -> np.ndarray:
     a ⊙ (T + σ_a(l)), σ_a(l) = a^(-1) ⊙ l, so its log is
     log a + log(T + σ_a(l)) mod (q-1): a gather from the block [T, 2T).
     The certificate makes the scatter cover [1, lim) and the composition
-    the rest, so no entry but log[0] needs a fill.
+    the rest, so no entry but log[0] needs a fill.  Then exp[log c] = c is
+    checked for every composed code c >= lim, _CHUNK at a time, which the
+    certificate leaves open for the rows scaled off the column: the first
+    failing code raises InvariantError.  Prime fields compose nothing.
     """
     qm1, top = q - 1, q // p  # top = T, the place value of the top digit
     lim = max(2 * top, p)
@@ -568,6 +571,14 @@ def _build_log(p: int, e: int, q: int, exp: np.ndarray) -> np.ndarray:
             np.take(blocks[1], sigma, out=dst, mode="clip")  # sigma < T: clip never acts
             dst += logs[k]
             np.minimum(dst, dst - qm1, out=dst)
+
+    for lo in range(lim, q, _CHUNK):  # exp[log c] = c, c >= lim: see the docstring
+        got = exp[log[lo : lo + _CHUNK]]
+        bad = np.flatnonzero(got != np.arange(lo, lo + len(got), dtype=np.int32))
+        if bad.size:
+            c = lo + int(bad[0])
+            raise InvariantError(f"exp of GF({p}^{e}) is not the powers of g: code {c} has the "
+                                 f"composed log {log[c]}, but exp[{log[c]}] = {exp[log[c]]}")
     return log
 
 
@@ -581,7 +592,8 @@ class FieldParams:
 
 
 class FieldTable:
-    """Arithmetic tables for GF(p^e); immutable once built via build_field.
+    """Tables for GF(p^e), immutable once built via build_field, with the
+    sums add, add_many and sub_many and the subfield queries below.
 
     Attributes
     ----------
@@ -601,8 +613,8 @@ class FieldTable:
         Zech logarithm: zech[k] = log(1 + g^k), so zech[(q-1)/2] = -1 marks
         1 + g^k = 0.  Built on the first addition, not by build_field.
     exp_view, log_view, zech_view : memoryview
-        Read-only views of the same three tables, for scalar reads: indexing
-        one returns a Python int.  Each array is read back from its view
+        Read-only views of the same three tables, for the scalar add and
+        other scalar reads: indexing one returns a Python int.  Each array is read back from its view
         (memoryview.obj), so a table and its view cannot disagree, and
         exp, log and zech cannot be rebound.
 
@@ -652,11 +664,6 @@ class FieldTable:
     def __repr__(self) -> str:
         return f"FieldTable(GF({self.p}^{self.e}))"
 
-    # ------------------------------------------------------------- elements
-
-    def elements(self) -> range:
-        return range(self.q)
-
     @property
     def zech(self) -> np.ndarray:
         return self.zech_view.obj
@@ -689,34 +696,6 @@ class FieldTable:
         z = self.zech_view[(log[b] - la) % qm1]
         return 0 if z < 0 else self.exp_view[(la + z) % qm1]
 
-    def neg(self, a: Element) -> Element:
-        if a == 0:
-            return 0
-        return self.exp_view[(self.log_view[a] + self.qm1 // 2) % self.qm1]
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: Element, b: Element) -> Element:
-        if a == 0 or b == 0:
-            return 0
-        log = self.log_view
-        return self.exp_view[(log[a] + log[b]) % self.qm1]
-
-    def inv(self, a: Element) -> Element:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.exp_view[-self.log_view[a] % self.qm1]
-
-    def pow(self, a: Element, k: int) -> Element:
-        if a == 0:
-            if k > 0:
-                return 0
-            if k == 0:
-                return 1
-            raise ZeroDivisionError("0 cannot be raised to a negative power")
-        return self.exp_view[self.log_view[a] * k % self.qm1]
-
     # ------------------------------------------------------- vectorized ops
 
     def add_many(self, codes: np.ndarray, c: Element) -> np.ndarray:
@@ -736,8 +715,9 @@ class FieldTable:
         return out
 
     def sub_many(self, codes: np.ndarray, c: Element) -> np.ndarray:
-        """Codes of x - c for every x in codes."""
-        return self.add_many(codes, self.neg(c))
+        """Codes of x - c for every x in codes: -c = g^(log c + (q-1)/2)."""
+        minus_c = 0 if c == 0 else self.exp_view[(self.log_view[c] + self.qm1 // 2) % self.qm1]
+        return self.add_many(codes, minus_c)
 
     # ------------------------------------------------------------ subfields
 
@@ -861,13 +841,13 @@ def build_field(p: int, e: int, *, cap: int = DEFAULT_CAP, keep_exp: bool = True
       has the monic a^(-1) ⊙ u, which occurs as exp[js+i] = c^j ⊙ exp[i];
       picking j' with c^j' = a c^j, u = c^j' ⊙ exp[i] = exp[j's+i].  Units
       with top digit 0 occur directly, so all q - 1 units occur among the
-      q - 1 entries.  The scaled rows off the column are taken as built:
-      one of their entries past lim, changed to another past lim, goes
-      unseen.
+      q - 1 entries.  The scaled rows off the column are taken as built
+      here: one of their entries past lim, changed to another past lim,
+      passes the certificate, and the first read of log refuses it.
     So the g^k = exp[k], k < q-1, are distinct and g generates GF(p^e)*.
     log, built on its first read by _build_log, is exp's inverse on the
-    scattered codes, and on every unit: exp[log a + log m] = a m for the
-    composed log(aT + l) = log a + log(T + σ_a(l)).  Conversely, a
+    scattered codes, and it checks exp[log c] = c on every composed code c,
+    so log is exp's inverse on every unit.  Conversely, a
     collision in exp[0:s] repeats a whole column and a c of order below
     p - 1 repeats the constants (for e = 1, a g of order below p - 1
     repeats 1), so a code below lim is hit twice, and lim - 1 entries

@@ -13,6 +13,7 @@ import functools
 import numpy as np
 
 from cayley_cliques import GraphKind, build_field, make_graph
+from field_oracle import graph_adjacency
 
 
 def _unpack_masks(neighbors: list[int]) -> np.ndarray:
@@ -24,15 +25,10 @@ def _unpack_masks(neighbors: list[int]) -> np.ndarray:
 
 
 def induced_bitmasks(graph, vertices: list[int]) -> list[int]:
-    """Adjacency of the induced subgraph, one pairwise query at a time."""
-    n = len(vertices)
-    neighbors = [0] * n
-    for i in range(n):
-        for k in range(i + 1, n):
-            if graph.adjacent(vertices[i], vertices[k]):
-                neighbors[i] |= 1 << k
-                neighbors[k] |= 1 << i
-    return neighbors
+    """Adjacency of the induced subgraph by the table-free field oracle, as
+    neighbor bitmasks."""
+    adjacency = graph_adjacency(graph, vertices, vertices)
+    return [sum(1 << int(k) for k in np.flatnonzero(row)) for row in adjacency]
 
 
 def exhaustive_max_clique(neighbors: list[int]) -> int:

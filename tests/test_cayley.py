@@ -28,13 +28,30 @@ from cayley_cliques import (
     GraphKind,
     InvariantError,
     NotAClique,
-    SelfLoopQuery,
     build_field,
     make_graph,
     maximum_clique,
 )
 from cayley_cliques import cayley
 from cayley_cliques.cayley import _bits, _degeneracy_order, _row_masks, _rows_per_block
+from field_oracle import FieldOracle, adjacent, graph_adjacency
+
+# ---------------------------------------------------------------------------
+# the package's public names
+
+def test_every_export_resolves_and_no_retired_name_is_exported():
+    assert all(hasattr(cayley_cliques, name) for name in cayley_cliques.__all__)
+    retired = {"SelfLoopQuery", "ZeroArgument"}
+    assert not retired & (set(cayley_cliques.__all__) | set(vars(cayley_cliques)))
+    retired_methods = {
+        cayley_cliques.FieldTable: ("sub", "mul", "inv", "pow", "elements", "neg"),
+        cayley_cliques.CayleyGraph: ("adjacent", "in_connection_set"),
+        cayley_cliques.Character: ("chi_class",),
+        cayley_cliques.RootOfUnitySum: ("add_class", "total"),
+    }
+    for cls, names in retired_methods.items():
+        assert not [name for name in names if hasattr(cls, name)], cls
+
 
 # ---------------------------------------------------------------------------
 # kinds
@@ -72,7 +89,8 @@ def test_kind_validation():
 
 def test_cubic_residues_mod_13(gp13_3):
     assert sorted(int(x) for x in gp13_3.connection_set()) == [1, 5, 8, 12]
-    assert {x for x in range(1, 13) if gp13_3.in_connection_set(x)} == {1, 5, 8, 12}
+    oracle = FieldOracle.of(gp13_3.table)
+    assert {x for x in range(1, 13) if oracle.cls(x, 3) == 0} == {1, 5, 8, 12}
 
 
 @pytest.mark.parametrize(
@@ -82,9 +100,11 @@ def test_cubic_residues_mod_13(gp13_3):
 def test_connection_set_is_symmetric(p, e, d, kind):
     graph = make_graph(build_field(p, e), GraphKind.from_name(kind, d))
     table = graph.table
+    oracle = FieldOracle.of(table)
     members = {int(x) for x in graph.connection_set()}
+    assert members == set(np.flatnonzero(oracle.members(d, graph.kind.j)).tolist())
     assert 0 not in members
-    assert members == {table.neg(x) for x in members}
+    assert members == {oracle.neg(x) for x in members}
     assert len(members) == (table.q - 1) * len(graph.kind.j) // d
 
 
@@ -102,11 +122,6 @@ def test_degenerate_modulus_rejected(gf13):
         make_graph(gf13, GraphKind.paley(5))
 
 
-def test_self_loop_query_rejected(gp13_3):
-    with pytest.raises(SelfLoopQuery):
-        gp13_3.adjacent(7, 7)
-
-
 GRAPHS_FOR_PROPS = [
     make_graph(build_field(13, 1), GraphKind.paley(3)),
     make_graph(build_field(3, 4), GraphKind.peisert(4)),
@@ -122,9 +137,11 @@ def test_adjacency_is_translation_invariant(data):
     x = data.draw(st.integers(0, q - 1))
     y = data.draw(st.integers(0, q - 1).filter(lambda v: v != x))
     t = data.draw(st.integers(0, q - 1))
-    shifted = graph.adjacent(graph.table.add(x, t), graph.table.add(y, t))
-    assert graph.adjacent(x, y) == shifted
-    assert graph.adjacent(x, y) == graph.adjacent(y, x)
+
+    def kernel(u: int, v: int) -> bool:
+        return bool(graph._pair_adjacency(np.array([u]), np.array([v]))[0, 0])
+    shifted = kernel(graph.table.add(x, t), graph.table.add(y, t))
+    assert kernel(x, y) == shifted == kernel(y, x) == adjacent(graph, x, y)
 
 
 # GP(81, 2) and GP(625, 2), whose subfields F_9 and F_25 are cliques: subsets
@@ -142,13 +159,13 @@ def test_is_clique_matches_pairwise_adjacency(data):
     vertices = data.draw(st.sets(st.sampled_from(graph.table.subfield_elements(r))))
     vertices |= data.draw(st.sets(st.integers(0, graph.table.q - 1), max_size=2))
     vs = sorted(vertices)
-    expected = all(graph.adjacent(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+    expected = graph_adjacency(graph, vs, vs)[np.triu_indices(len(vs), 1)].all()
     assert graph.is_clique(vertices) == expected
 
 
 @pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 4), (3, 6)])
 def test_pair_kernel_matches_pairwise_adjacency(graphs, p, e):
-    """The log-domain pair kernel against adjacent(u, v), pair by pair, on
+    """The log-domain pair kernel against the table-free oracle on
     random vertex sets with and without 0, in random order.  From GF(5^4)
     on, the 200-vertex set spans three row blocks."""
     rng = random.Random(p**e)
@@ -159,7 +176,7 @@ def test_pair_kernel_matches_pairwise_adjacency(graphs, p, e):
         for size, zero in itertools.product((1, 2, 40, min(q, 200)), (True, False)):
             vs = [0] * zero + rng.sample(range(1, q), min(size - zero, q - 1))
             rng.shuffle(vs)
-            expected = np.array([[u != v and graph.adjacent(u, v) for v in vs] for u in vs], dtype=bool)
+            expected = graph_adjacency(graph, vs, vs)
             vertices = np.array(vs, dtype=np.int64)
             assert np.array_equal(graph._induced_adjacency(vertices), expected), (kind, size, zero)
             # Rows and columns from different sets.
@@ -175,8 +192,9 @@ def test_is_clique_row_blocks_cover_every_pair(gf625, monkeypatch):
     monkeypatch.setattr(cayley, "_PAIR_BLOCK", 64)
     assert _rows_per_block(len(subfield) + 1) == 2
     assert graph.is_clique(subfield)
+    adjacency = graph_adjacency(graph, range(gf625.q), subfield)
     for x in range(gf625.q):
-        expected = x in subfield or all(graph.adjacent(x, f) for f in subfield)
+        expected = x in subfield or adjacency[x].all()
         assert graph.is_clique(subfield + (x,)) == expected, x
 
 
@@ -195,8 +213,7 @@ def test_common_neighbors_sorted_and_adjacent(gpstar81_4):
     pool = gpstar81_4.common_neighbors({0, 1, 2})
     assert pool == sorted(pool)
     assert not set(pool) & {0, 1, 2}
-    for theta in pool:
-        assert all(gpstar81_4.adjacent(theta, c) for c in (0, 1, 2))
+    assert graph_adjacency(gpstar81_4, pool, [0, 1, 2]).all()
 
 
 def test_exact_extension_reaches_size_nine(gpstar81_4):
@@ -323,11 +340,11 @@ def test_subfield_clique_matches_log_table_scan():
 def test_common_neighbors_of_subfields_match_a_whole_field_scan():
     """Log-domain witness scan vs a scan of every code.
 
-    The oracle subtracts digit by digit, so it shares no Zech arithmetic
-    with the scan.  Every GF(p^E) of order <= 4096, every d | (q-1)/2,
-    every proper r | E; Paley, Peisert and seeded random class sets J.  F
-    plus its smallest witness contains F, so it takes the same scan and is
-    checked too.
+    The oracle subtracts digit by digit and takes S from the table-free
+    classes, so it shares no table read with the scan.  Every GF(p^E) of
+    order <= 4096, every d | (q-1)/2, every proper r | E; Paley, Peisert
+    and seeded random class sets J.  F plus its smallest witness contains
+    F, so it takes the same scan and is checked too.
     """
     rng = random.Random(20227)
     with_witnesses = without = 0
@@ -340,8 +357,7 @@ def test_common_neighbors_of_subfields_match_a_whole_field_scan():
         for d in sympy.divisors(table.qm1 // 2):
             for kind in _kinds_for(d, rng):
                 graph = make_graph(table, kind)
-                in_s = np.isin(table.log % d, sorted(kind.j))
-                in_s[0] = False
+                in_s = FieldOracle.of(table).members(d, kind.j)
                 for r in sympy.divisors(e)[:-1]:
                     base = table.subfield_elements(r)
                     assert graph._subfield_within(base) == r
@@ -510,29 +526,39 @@ def test_orbit_extension_matches_the_whole_pool_search(graphs, p, e, r, kind):
 
 
 def _brute_force_frobenius_powers(graph) -> list[int]:
-    """The k < E for which x -> x^(p^k) maps every element of S into S."""
+    """The k < E for which x -> x^(p^k) maps every element of S into S,
+    with S and the powers from the table-free oracle."""
     t = graph.table
-    members = [int(x) for x in graph.connection_set()]
-    return [k for k in range(t.e)
-            if all(graph.in_connection_set(t.pow(x, t.p**k)) for x in members)]
+    oracle = FieldOracle.of(t)
+    member = oracle.members(graph.d, graph.j)
+    members = np.flatnonzero(member)
+    return [k for k in range(t.e) if member[oracle.pow_many(members, t.p**k)].all()]
 
 
 @pytest.mark.parametrize("p,e,r,kind", ORBIT_CASES, ids=_case_id)
 def test_pool_orbits_partition_the_pool_into_free_orbits(graphs, p, e, r, kind):
     """Each orbit is a union of free <g^L> x| F orbits, permuted by Frobenius.
 
-    Images are computed here with scalar table arithmetic, and K by brute
+    Images are computed here with the table-free oracle, and K by brute
     force over S, so neither relies on the log-domain code under test.
     """
     graph = graphs(p, e, kind)
     t = graph.table
+    oracle = FieldOracle.of(t)
     base = list(t.subfield_elements(r))
     pool = np.array(graph.common_neighbors(base), dtype=np.int64)
     orbits = graph._pool_orbits(base, pool)
     period = math.lcm(t.subfield_step(r), kind.d)
-    units = [t.pow(t.g, period * j) for j in range(t.qm1 // period)]
+    units = np.array([oracle.pow(t.g, period * j) for j in range(t.qm1 // period)])
     group_order = len(units) * p**r
     ks = _brute_force_frobenius_powers(graph)
+
+    def affine(xs: np.ndarray) -> np.ndarray:
+        """u x + f for every x in xs (rows), u in units and f in the base."""
+        return oracle.add_many(oracle.mul_many(xs[:, None], units)[:, :, None], base).reshape(len(xs), -1)
+
+    images = affine(pool)
+    frobenius = np.stack([oracle.pow_many(pool, p**k) for k in ks], axis=1)
     assert sorted(np.concatenate(orbits).tolist()) == list(range(len(pool)))
     assert all(int(orbit[0]) == int(orbit.min()) for orbit in orbits)
     assert [int(orbit[0]) for orbit in orbits] == sorted(int(orbit[0]) for orbit in orbits)
@@ -541,14 +567,11 @@ def test_pool_orbits_partition_the_pool_into_free_orbits(graphs, p, e, r, kind):
         assert group_order * len(ks) % len(orbit) == 0
         members = {int(pool[i]) for i in orbit}
         # The whole G'-orbit of the first member, so no two orbits merged.
-        first = int(pool[orbit[0]])
-        closure = {t.add(t.mul(u, t.pow(first, p**k)), f) for k in ks for u in units for f in base}
-        assert closure == members
-        for x in members:
-            affine = {t.add(t.mul(u, x), f) for u in units for f in base}
-            assert len(affine) == group_order  # free
-            assert affine <= members
-            assert {t.pow(x, p**k) for k in ks} <= members
+        assert set(affine(frobenius[orbit[0]]).ravel().tolist()) == members
+        for i in orbit:
+            assert len(set(images[i].tolist())) == group_order  # free
+            assert set(images[i].tolist()) <= members
+            assert set(frobenius[i].tolist()) <= members
 
 
 @pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 4), (3, 6)])
@@ -584,11 +607,10 @@ def test_non_subfield_base_takes_the_whole_pool_search(gpstar81_4):
 
 
 def _networkx_omega(graph, pool) -> int:
-    """Clique number of the pool by networkx, from scalar adjacency."""
+    """Clique number of the pool by networkx, from the oracle's adjacency."""
     nxg = nx.Graph()
-    nxg.add_nodes_from(pool)
-    nxg.add_edges_from((u, v) for i, u in enumerate(pool) for v in pool[i + 1:]
-                       if graph.adjacent(u, v))
+    nxg.add_nodes_from(range(len(pool)))
+    nxg.add_edges_from(np.argwhere(np.triu(graph_adjacency(graph, pool, pool), 1)).tolist())
     return nx.max_weight_clique(nxg, weight=None)[1]
 
 

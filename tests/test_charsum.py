@@ -18,7 +18,6 @@ from cayley_cliques import (
     NotADivisor,
     RootOfUnitySum,
     TrivialCharacter,
-    ZeroArgument,
     ZeroEncountered,
     build_field,
     epsilon_star,
@@ -26,68 +25,70 @@ from cayley_cliques import (
     line_sum,
     unit_root,
 )
+from field_oracle import FieldOracle
 
 # ---------------------------------------------------------------------------
 # characters
 
 def test_cubic_residue_classes_mod_13(gf13):
-    chi = Character(gf13, 3)
-    assert chi.chi_class(5) == 0
-    classes = {x: chi.chi_class(x) for x in range(1, 13)}
+    # The classes line_sum reads off the log table, log x mod 3, against
+    # the oracle's x^4 = (2^4)^j.
+    classes = {x: int(gf13.log[x]) % 3 for x in range(1, 13)}
+    oracle = FieldOracle.of(gf13)
+    assert classes == {x: oracle.cls(x, 3) for x in range(1, 13)}
+    assert classes[5] == 0
     assert {x for x, c in classes.items() if c == 0} == {1, 5, 8, 12}
     assert sorted(classes.values()).count(0) == 4
 
 
 def test_character_is_multiplicative(gf81):
-    chi = Character(gf81, 8)
+    # The oracle's class of the schoolbook product xy is the sum of the
+    # log classes of x and y.
+    oracle = FieldOracle.of(gf81)
     for x in range(1, gf81.q, 5):
         for y in range(1, gf81.q, 7):
-            lhs = chi.chi_class(gf81.mul(x, y))
-            assert lhs == (chi.chi_class(x) + chi.chi_class(y)) % 8
+            lhs = oracle.classes(8)[oracle.mul(x, y)]
+            assert lhs == (int(gf81.log[x]) + int(gf81.log[y])) % 8
 
 
 def test_character_errors(gf13):
     with pytest.raises(NotADivisor):
         Character(gf13, 5)
-    with pytest.raises(ZeroArgument):
-        Character(gf13, 3).chi_class(0)
 
 
 def test_nontrivial_character_sums_to_zero(gf81):
+    oracle = FieldOracle.of(gf81)
     for d in (2, 4, 5, 8, 16, 80):
-        chi = Character(gf81, d)
-        acc = RootOfUnitySum.zero(d)
-        for x in range(1, gf81.q):
-            acc.add_class(chi.chi_class(x))
-        assert acc.total == gf81.q - 1
+        classes = gf81.log[1:] % d
+        assert classes.tolist() == oracle.classes(d)[1:].tolist()
+        acc = RootOfUnitySum(d, np.bincount(classes, minlength=d).tolist())
         assert acc.counts == [(gf81.q - 1) // d] * d
         assert acc.magnitude() < 1e-9
 
 
 def test_root_sum_matches_direct_complex_arithmetic():
-    acc = RootOfUnitySum.zero(6)
-    for j, mult in [(0, 3), (1, 2), (4, 5), (5, 1)]:
-        acc.add_class(j, mult)
+    acc = RootOfUnitySum(6, [3, 2, 0, 0, 5, 1])
     direct = 3 + 2 * unit_root(6, 1) + 5 * unit_root(6, 4) + unit_root(6, 5)
     assert abs(acc.value() - direct) < 1e-12
     assert abs(acc.magnitude() - abs(direct)) < 1e-12
-    assert acc.total == 11
 
 
 # ---------------------------------------------------------------------------
 # line sums and the Katz bound
 
 def _chi_value(chi, x):
-    return cmath.rect(1.0, 2.0 * math.pi * chi.chi_class(x) / chi.d)
+    """chi(x), with the class of x from the table-free oracle."""
+    return cmath.rect(1.0, 2.0 * math.pi * FieldOracle.of(chi.table).classes(chi.d)[x] / chi.d)
 
 
 def test_line_sum_matches_cmath_oracle(gf81):
     chi = Character(gf81, 5)
     base = gf81.subfield_elements(1)
+    oracle = FieldOracle.of(gf81)
     for theta in (3, 9, 30, 77):
         got = line_sum(chi, theta, base)
-        expected = sum(_chi_value(chi, gf81.add(theta, a)) for a in base)
-        assert got.total == len(base)
+        expected = sum(_chi_value(chi, oracle.add(theta, a)) for a in base)
+        assert sum(got.counts) == len(base)
         assert abs(got.value() - expected) < 1e-9
 
 
@@ -95,28 +96,28 @@ def test_line_sum_rejects_zero_term(gf81):
     chi = Character(gf81, 5)
     base = gf81.subfield_elements(1)
     with pytest.raises(ZeroEncountered):
-        line_sum(chi, gf81.neg(1), base)
+        line_sum(chi, FieldOracle.of(gf81).neg(1), base)
 
 
 @pytest.mark.parametrize("p,e", [(3, 4), (7, 3), (3, 6)])
 def test_line_sum_counts_match_a_vectorized_oracle_for_every_theta(p, e):
-    """Counts from one add_many over the base, a log gather and a bincount:
-    no scalar table read in common with line_sum."""
+    """Counts from the table-free oracle: digitwise sums over the base, the
+    oracle's classes and a bincount, so no table read in common with
+    line_sum."""
     table = build_field(p, e)
-    qm1 = table.qm1
-    ds = sympy.divisors(qm1)[1:]
+    oracle = FieldOracle.of(table)
+    ds = sympy.divisors(table.qm1)[1:]
     for r in sympy.divisors(e)[:-1]:
         base = table.subfield_elements(r)
         codes = np.array(base)
         for theta in table.full_degree_elements(r).tolist():
-            terms = table.add_many(codes, theta)
+            terms = oracle.add_many(codes, theta)
             assert terms.all(), (r, theta)  # theta + a is never 0 off -F
-            logs = table.log[terms]
             for d in ds:
-                expected = np.bincount(logs % d, minlength=d).tolist()
+                expected = np.bincount(oracle.classes(d)[terms], minlength=d).tolist()
                 assert line_sum(Character(table, d), theta, base).counts == expected, (r, d, theta)
         # -F: the negated codes, 0 included, each put a zero term in the sum.
-        negated = np.where(codes == 0, 0, table.exp[(table.log[codes] + qm1 // 2) % qm1])
+        negated = oracle.sub_many(0, codes)
         for theta in negated.tolist():
             with pytest.raises(ZeroEncountered):
                 line_sum(Character(table, ds[0]), theta, base)
@@ -128,11 +129,12 @@ def _katz_oracle_max_ratio(table, r, d):
     n = table.e // r
     base = table.subfield_elements(r)
     bound = (n - 1) * math.sqrt(table.p**r)
+    oracle = FieldOracle.of(table)
     worst = 0.0
-    for theta in table.elements():
+    for theta in range(table.q):
         if table.degree_over_base(theta, r) != n:
             continue
-        total = sum(_chi_value(chi, table.add(theta, a)) for a in base)
+        total = sum(_chi_value(chi, oracle.add(theta, a)) for a in base)
         worst = max(worst, abs(total) / bound)
     return worst
 
@@ -155,7 +157,7 @@ def _katz_per_theta(table, r, d):
     base = table.subfield_elements(r)
     bound = (n - 1) * math.sqrt(table.p**r)
     max_ratio, worst_theta, count = -1.0, -1, 0
-    for theta in table.elements():
+    for theta in range(table.q):
         if table.degree_over_base(theta, r) != n:
             continue
         count += 1

@@ -152,6 +152,11 @@ def test_epsilon_beyond_the_cap_exits_2_before_computing(capsys, monkeypatch):
     assert code == 2 and "cap" in err and out == ""
     code, out, err = run(capsys, "epsilon", "--cap", "100", "--d", "102")
     assert code == 2 and "cap" in err and out == ""
+    # Below the cap but past the memory limit of J and its weights.
+    code, out, err = run(capsys, "epsilon", "--d", str(cli.EPSILON_MAX_D + 2))
+    assert code == 2 and out == ""
+    assert err == (f"error: --d {cli.EPSILON_MAX_D + 2} exceeds {cli.EPSILON_MAX_D}, the limit "
+                   "of epsilon: its J and weights take about 110 bytes per unit of d\n")
 
 
 def test_epsilon_stdout_bytes_are_pinned(capsys):
