@@ -65,7 +65,7 @@ def main() -> int:
             table = build_field(c.p, c.s * c.n)
         graph = make_graph(table, c.kind)
         base = list(table.subfield_elements(c.s))
-        orbits = graph._pool_orbits(base, np.array(r.witnesses, dtype=np.int64))
+        orbits = graph._pool_orbits(base, table.log[list(r.witnesses)].astype(np.int64))
         step = (c.order - 1) // (c.q - 1)
         group = c.q * (c.order - 1) // math.lcm(step, c.d)
         ks = ",".join(map(str, graph._frobenius_powers()))

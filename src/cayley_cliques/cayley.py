@@ -6,15 +6,15 @@ a class set J.  Paley graphs take J = {0} (the d-th powers), Peisert
 graphs take J = {0, ..., d/2 - 1}.  Requiring q == 1 (mod 2d) makes
 -1 a d-th power, so S = -S and the graphs are undirected.
 
-No adjacency matrix of the whole graph is materialized: membership in S
-is read from the field's log table, and neighborhood scans filter
-candidate arrays one clique vertex at a time.  A set that contains a
-subfield starts from one representative exponent per coset of a subgroup
-that fixes the subfield and S, not from the whole field (see
-common_neighbors).  Clique tests and the adjacency of small induced
-subgraphs come from one log-domain pair kernel (see _pair_adjacency), and
-exact maximum-clique searches take those boolean matrices; bitset rows
-exist only inside the search (see maximum_clique).
+No adjacency matrix of the whole graph is materialized.  One kernel, a
+Zech lookup on the logs of two units, decides every adjacency (see
+_pair_adjacency).  Codes become logs once, at the public boundary, where
+0 takes one rule, 0 ~ v iff v lies in S; codes come back only for the
+witnesses and cliques returned.  Scans filter candidate exponents one
+kernel row per clique vertex; a set holding a subfield starts from one
+exponent per coset of a subgroup fixing the subfield and S (see
+common_neighbors).  Exact searches take boolean matrices of the kernel,
+with bitset rows only inside the search (see maximum_clique).
 
 The exact extension of a subfield F uses the graph's symmetry.  The maps
 x -> ux + f with f in F and u in the units of F that lie in class 0 mod d
@@ -173,17 +173,31 @@ class CayleyGraph:
         return codes[self._member_mask(codes)]
 
     def _member_mask(self, codes: np.ndarray) -> np.ndarray:
-        residues = self.table.log[codes] % self.d  # log[0] = -1 folds to d-1; masked below
-        return (codes != 0) & self._j_lut[residues]
+        return (codes != 0) & self._in_s(self.table.log[codes])  # log[0] = -1 is masked
+
+    def _in_s(self, logs: np.ndarray) -> np.ndarray:
+        """Membership in S of the units with these logs: log mod d in J."""
+        return self._j_lut[logs % self.d]
+
+    def _vertex_logs(self, vertices) -> tuple[list[Element], bool, np.ndarray]:
+        """Codes to logs: the distinct vertices ascending, whether 0 is one,
+        and the others' logs in code order; a code outside [0, q) is refused."""
+        codes, q = sorted(set(vertices)), self.table.q
+        if codes and not 0 <= codes[0] <= codes[-1] < q:
+            raise ValueError(f"vertex {codes[0] if codes[0] < 0 else codes[-1]} is not a code of GF({q})")
+        zero = int(codes[:1] == [0])
+        return codes, bool(zero), self.table.log[np.array(codes[zero:], dtype=np.int64)].astype(np.int64)
 
     # -------------------------------------------------------------- cliques
 
     def is_clique(self, vertices) -> bool:
-        """Every pair adjacent: row blocks of the pair kernel against the later vertices."""
-        vs = np.array(sorted(set(vertices)), dtype=np.int64)
-        step = _rows_per_block(len(vs))
-        for lo in range(0, len(vs), step):
-            block = self._pair_adjacency(vs[lo : lo + step], vs[lo:])
+        """Every pair adjacent: the 0 rule, then kernel row blocks against the later vertices."""
+        _, zero, logs = self._vertex_logs(vertices)
+        if zero and not self._in_s(logs).all():
+            return False
+        step = _rows_per_block(len(logs))
+        for lo in range(0, len(logs), step):
+            block = self._pair_adjacency(logs[lo : lo + step], logs[lo:])
             # u - u = 0 is never in S: the diagonal is the one pair not to check.
             np.fill_diagonal(block, True)
             if not block.all():
@@ -193,39 +207,38 @@ class CayleyGraph:
     def common_neighbors(self, vertices) -> list[Element]:
         """Vertices adjacent to every element of the set, ascending.
 
-        When the set contains a proper subfield F = F_{p^r}, the common
-        neighbors of F come from the log domain.  With step = (q-1)/(p^r-1)
-        and L = lcm(step, d), g^L lies in F* and in class 0 mod d, so
-        multiplying by it fixes F and S and the common neighbors of F are a
-        union of <g^L>-orbits.  Only the exponents k < L with k mod d in J are
-        read (these are the c = 0 pass), filtered by the nonzero elements of
-        F and expanded by the multiples of L.  Any other set starts from the
-        whole field.  Each remaining vertex then filters the candidates;
-        members of the set drop out on their own pass (x - x = 0 is never
-        in S).
+        The candidates are exponents.  When the set contains a proper
+        subfield F = F_{p^r}, with step = (q-1)/(p^r-1) and L = lcm(step, d),
+        g^L lies in F* and in class 0 mod d, so multiplying by it fixes F and
+        S and the common neighbors of F are a union of <g^L>-orbits.  Only
+        the exponents k < L with k mod d in J are read (the c = 0 pass),
+        filtered by the logs of F* (the multiples of step) and expanded by
+        the multiples of L.  Any other set starts from every unit exponent,
+        and 0 joins by the 0 rule.  Each remaining vertex then filters the
+        candidates; members of the set drop out on their own pass (x - x = 0
+        is never in S).  exp is read once, for the codes returned.
         """
         t = self.table
-        rest = sorted(set(vertices))
-        r = self._subfield_within(rest)
+        codes, zero, logs = self._vertex_logs(vertices)
+        r = self._subfield_within(codes)
         if r is None:
-            cand = np.arange(t.q, dtype=np.int64)
+            cand = np.flatnonzero(np.tile(self._j_lut, t.qm1 // self.d)) if zero else np.arange(t.qm1)
+            head = [0] if not zero and self._in_s(logs).all() else []
         else:
-            subfield = t.subfield_elements(r)
-            period = math.lcm(t.subfield_step(r), self.d)
-            exponents = np.flatnonzero(np.resize(self._j_lut, period))
-            reps = self._filter(t.exp[exponents], subfield[1:])
-            orbits = t.log[reps][:, None] + np.arange(0, t.qm1, period)
-            cand = np.sort(t.exp[orbits.ravel()])
-            members = set(subfield)
-            rest = [v for v in rest if v not in members]
-        return [int(v) for v in self._filter(cand, rest)]
+            step = t.subfield_step(r)
+            period = math.lcm(step, self.d)
+            exponents = np.flatnonzero(np.tile(self._j_lut, period // self.d))  # k < L, k mod d in J
+            reps = self._filter(exponents, np.arange(0, t.qm1, step))
+            cand = (reps[:, None] + np.arange(0, t.qm1, period)).ravel()
+            logs, head = logs[logs % step != 0], []
+        return head + np.sort(t.exp[self._filter(cand, logs)]).tolist()
 
-    def _filter(self, cand: np.ndarray, vertices) -> np.ndarray:
-        """The candidates adjacent to every vertex, in their input order."""
-        for c in vertices:
+    def _filter(self, cand: np.ndarray, logs) -> np.ndarray:
+        """Candidate units adjacent to every vertex, as logs: a kernel row each, the 0 rule for -1."""
+        for lu in logs:
             if cand.size == 0:
                 break
-            cand = cand[self._member_mask(self.table.sub_many(cand, c))]
+            cand = cand[self._in_s(cand) if lu < 0 else self._pair_adjacency(np.array([lu]), cand)[0]]
         return cand
 
     def _subfield_within(self, vertices) -> int | None:
@@ -269,19 +282,27 @@ class CayleyGraph:
 
         pool must be the common neighbors of vertices, ascending, as
         is_maximal_clique returns them; a caller that already holds them
-        skips the second scan.  Maximality is checked on that pool too: a
-        clique holding the base has as its common neighbors the pool
-        vertices adjacent to every added vertex, so those, and any base
-        vertex missing from the result, are left over.
+        skips the second scan.  Its logs (-1 for 0) are read once, checked
+        by exp.  Maximality is checked on the pool: a clique holding the
+        base has as its common neighbors the pool vertices adjacent to every
+        added vertex (0 by the 0 rule), so those, and any base vertex
+        missing from the result, are left over.
         """
         base = sorted(set(vertices))
+        zero = int(pool[:1] == [0])
+        logs = self.table.log[np.array(pool, dtype=np.int64)].astype(np.int64)
+        units = logs[zero:]
+        wrong = np.flatnonzero(self.table.exp[units] != pool[zero:]) + zero
+        if wrong.size:
+            raise InvariantError(f"exp does not invert log at witness {pool[wrong[0]]}: corrupt tables")
         if len(pool) <= exact_budget:
-            method, clique = "exact", self._extend_exact(base, pool)
+            method, clique = "exact", self._extend_exact(base, logs)
         else:
-            method, clique = "greedy", self._extend_greedy(base, pool)
-        added = sorted(set(clique).difference(base))
+            method, clique = "greedy", self._extend_greedy(base, logs)
+        in_clique = np.isin(pool, clique)
         leftover = len(set(base).difference(clique))
-        leftover += self._filter(np.array(pool, dtype=np.int64), added).size
+        leftover += self._filter(units[~in_clique[zero:]], logs[in_clique]).size
+        leftover += zero and not in_clique[0] and bool(self._in_s(units[in_clique[zero:]]).all())
         if leftover:
             raise InvariantError(
                 f"{method} extension of {base} stopped at a non-maximal clique: "
@@ -289,17 +310,19 @@ class CayleyGraph:
             )
         return CliqueReport(tuple(clique), True, (), method)
 
-    def _extend_greedy(self, base: list[Element], pool: list[Element]) -> list[Element]:
-        cur = list(base)
-        cand = np.array(pool, dtype=np.int64)
-        while cand.size:
-            v = int(cand[0])
-            cur.append(v)
-            cand = cand[self._member_mask(self.table.sub_many(cand, v))]
-        return sorted(cur)
+    def _codes(self, logs: np.ndarray) -> list[Element]:
+        """Codes of the vertices with these logs; the log -1 stands for 0."""
+        return np.where(logs < 0, 0, self.table.exp[logs]).tolist()
 
-    def _extend_exact(self, base: list[Element], pool: list[Element]) -> list[Element]:
-        """Base plus a maximum clique of its witness pool W, ascending.
+    def _extend_greedy(self, base: list[Element], logs: np.ndarray) -> list[Element]:
+        chosen, cand = [], logs
+        while cand.size:
+            chosen.append(cand[0])
+            cand = self._filter(cand[1:], cand[:1])
+        return sorted(base + self._codes(np.array(chosen, dtype=np.int64)))
+
+    def _extend_exact(self, base: list[Element], logs: np.ndarray) -> list[Element]:
+        """Base plus a maximum clique of its witness pool W (as logs), ascending.
 
         The maximum clique size comes from one rooted subproblem per orbit of
         W (see _pool_orbits: under x -> u x^(p^k) + f when the base is a
@@ -308,25 +331,24 @@ class CayleyGraph:
         seed when nothing beats it, else the first clique of the optimum
         size that search meets.  Both read W's boolean adjacency matrix.
         """
-        if not pool:
+        if not logs.size:
             return list(base)
-        vertices = np.array(pool, dtype=np.int64)
-        adjacency = self._induced_adjacency(vertices)
-        # Greedy extension: the pool is ascending, so the first candidate
-        # left is the smallest common neighbor.
-        seed, cand = [], np.arange(len(pool))
+        adjacency = self._induced_adjacency(logs)
+        # Greedy extension: the pool is in code order, so the first
+        # candidate left is the smallest common neighbor.
+        seed, cand = [], np.arange(len(logs))
         while cand.size:
             seed.append(int(cand[0]))
             cand = cand[adjacency[cand[0], cand]]
-        size = self._orbit_clique_size(adjacency, self._pool_orbits(base, vertices), len(seed))
+        size = self._orbit_clique_size(adjacency, self._pool_orbits(base, logs), len(seed))
         chosen = seed
         if size > len(seed):
             # The bound, and every prune it enables, only skips branches
             # that cannot reach `size`; the colourings and visit order do
             # not depend on it, so this meets the same first size-`size`
             # clique as an unbounded run.
-            chosen = _bits(maximum_clique(adjacency, bound=size - 1, stop_at=size))
-        return sorted(base + [pool[i] for i in chosen])
+            chosen = list(_bits(maximum_clique(adjacency, bound=size - 1, stop_at=size)))
+        return sorted(base + self._codes(logs[chosen]))
 
     def _frobenius_powers(self) -> list[int]:
         """The k < E for which x -> x^(p^k) maps S onto S, ascending.
@@ -342,56 +364,59 @@ class CayleyGraph:
         return [k for k in range(self.table.e)
                 if np.array_equal(lut[classes * pow(p, k, self.d) % self.d], lut)]
 
-    def _pool_orbits(self, base: list[Element], vertices: np.ndarray) -> list[np.ndarray]:
+    def _pool_orbits(self, base: list[Element], logs: np.ndarray) -> list[np.ndarray]:
         """Orbits of the witness pool under the semilinear group G'.
 
-        For base = F_{p^r}, step = (q-1)/(p^r-1) and L = lcm(step, d): g^L
-        lies in F* and in class 0 mod d, so G = {x -> ux + f : u in <g^L>,
-        f in F} fixes F and S and maps the pool onto itself.  With u != 1 it
-        fixes only a point of F, which the pool avoids, so G acts freely:
-        its orbits have |G| = p^r (q-1)/L elements.  x -> g^L x and the
-        translations by theta^i, i < r, for theta = g^step (an F_p-basis of
-        F) generate G; the Frobenius map x -> x^(p^k0), k0 the smallest
-        positive member of K (see _frobenius_powers; K is a subgroup of
-        Z_E), joins them to generate G' = {x -> u x^(p^k) + f : k in K}.
-        The orbits are the connected components of these permutations of
-        the pool, |G| times a divisor of |K| elements, not always free.
-        They are pool-index arrays, ordered by their smallest member, which
+        For a pool given by its logs, base = F_{p^r}, step = (q-1)/(p^r-1)
+        and L = lcm(step, d): g^L lies in F* and in class 0 mod d, so
+        G = {x -> ux + f : u in <g^L>, f in F} fixes F and S and maps the
+        pool onto itself.  With u != 1 it fixes only a point of F, which
+        the pool avoids, so G acts freely: its orbits have |G| = p^r (q-1)/L
+        elements.  x -> g^L x (log + L) and the translations by theta^i,
+        i < r, for theta = g^step (an F_p-basis of F; log x + zech[i step -
+        log x], zech = -1 being the image 0) generate G; the Frobenius map
+        x -> x^(p^k0) (log times p^k0), k0 the smallest positive member of K
+        (see _frobenius_powers; K is a subgroup of Z_E), joins them to
+        generate G' = {x -> u x^(p^k) + f : k in K}.  The orbits are the
+        components of these permutations of the pool (looked up through one
+        argsort of its logs), |G| times a divisor of |K| elements, not always
+        free: pool-index arrays, ordered by their smallest member, which
         comes first.  A base that is no subfield has single-witness orbits.
 
         A generator image outside the pool or hit twice, and a G-orbit not
         of |G| elements, raise InvariantError.
         """
-        t, n = self.table, len(vertices)
+        t, n = self.table, len(logs)
         label = np.arange(n)
         r = self._subfield_within(base)
         if n == 0 or r is None or t.p**r != len(base):
             return list(label[:, None])
+        by_log = np.argsort(logs)
 
         def permutation(name: str, images: np.ndarray) -> np.ndarray:
-            at = np.searchsorted(vertices, images).clip(max=n - 1)
-            at[vertices[at] != images] = n  # outside the pool
+            at = by_log[np.searchsorted(logs, images, sorter=by_log).clip(max=n - 1)]
+            at[logs[at] != images] = n  # outside the pool
             bad = (at == n) | (np.bincount(at)[at] > 1)
             if bad.any():
                 raise InvariantError(f"{name} over F_{{{t.p}^{r}}} does not permute the witness pool "
-                                     f"at witness {int(vertices[np.argmax(bad)])}: corrupt tables")
+                                     f"at witness {t.exp[logs[np.argmax(bad)]]}: corrupt tables")
             return at
 
         step = t.subfield_step(r)
         period = math.lcm(step, self.d)
-        logs = t.log[vertices].astype(np.int64)
-        gens = [permutation(f"x -> g^{period} x", t.exp[(logs + period) % t.qm1])]
-        basis = map(int, t.exp[: step * r : step])  # theta^i for i < r
-        gens += [permutation(f"x -> x + {f}", t.add_many(vertices, f)) for f in basis]
+        gens = [permutation(f"x -> g^{period} x", (logs + period) % t.qm1)]
+        for f in range(0, step * r, step):  # log theta^i = i step
+            z = t.zech[(f - logs) % t.qm1]
+            gens.append(permutation(f"x -> x + g^{f}", np.where(z < 0, -1, (logs + z) % t.qm1)))
         label = _min_labels(gens, label)
         size = t.p**r * t.qm1 // period
         wrong = np.bincount(label)[label] != size
         if wrong.any():
-            w = int(vertices[np.argmax(wrong)])
+            w = t.exp[logs[np.argmax(wrong)]]
             raise InvariantError(f"the orbit of witness {w} under x -> ux + f over F_{{{t.p}^{r}}} "
                                  f"does not have |G| = {size} elements: corrupt tables")
         for k in self._frobenius_powers()[1:2]:
-            images = t.exp[logs * pow(t.p, k, t.qm1) % t.qm1]
+            images = logs * pow(t.p, k, t.qm1) % t.qm1
             label = _min_labels([permutation(f"x -> x^({t.p}^{k})", images)], label)
         order = np.argsort(label, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
@@ -426,53 +451,49 @@ class CayleyGraph:
             free[orbit] = False
         return best
 
-    def _induced_adjacency(self, vertices: np.ndarray) -> np.ndarray:
+    def _induced_adjacency(self, logs: np.ndarray) -> np.ndarray:
         """Boolean adjacency matrix of the subgraph induced on distinct vertices.
 
-        Built by the pair kernel in row blocks of about _PAIR_BLOCK pairs,
-        so the index temporaries stay small next to the matrix itself.  The
-        diagonal is False because u - u = 0 is not in S.
+        Vertices come as logs, a leading -1 being 0 (the 0 rule).  The pair
+        kernel fills row blocks of about _PAIR_BLOCK pairs, so the index
+        temporaries stay small; the diagonal is False as u - u = 0 is not in S.
         """
-        n = len(vertices)
-        rows = np.empty((n, n), dtype=bool)
+        n = len(logs)
+        zero = int(n > 0 and logs[0] < 0)
+        rows = np.zeros((n, n), dtype=bool)
         step = _rows_per_block(n)
-        for lo in range(0, n, step):
-            rows[lo : lo + step] = self._pair_adjacency(vertices[lo : lo + step], vertices)
+        for lo in range(zero, n, step):
+            rows[lo : lo + step, zero:] = self._pair_adjacency(logs[lo : lo + step], logs[zero:])
+        if zero:
+            rows[0, 1:] = rows[1:, 0] = self._in_s(logs[1:])
         return rows
 
-    def _pair_adjacency(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Matrix of u - v in S for u in us (rows) and v in vs (columns).
+    def _pair_adjacency(self, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        """Matrix of u - v in S for units u (rows) and v (columns), given by logs.
 
-        The log-domain pair kernel: -v = g^(log v + (q-1)/2), so for u != 0
+        The one adjacency kernel: -v = g^(log v + (q-1)/2), so
         u - v = g^(log u) (1 + g^(log v + (q-1)/2 - log u)) = g^(log u + z)
         with z = zech[(log v + (q-1)/2 - log u) mod (q-1)], and the pair is
         adjacent when z >= 0 (z = -1 is u = v) and (log u + z) mod d lies in
-        J.  One zech read per pair; no exp gather and no second log gather.
-        A row or column for code 0 takes the membership of the other vertex,
-        since 0 - v = -v and S = -S; sets without 0, such as every witness
-        pool of a subfield, skip that pass.
+        J: one zech read per pair, no other table.  0 has no log; callers
+        apply the 0 rule, 0 ~ v iff v in S (0 - v = -v and S = -S).
         """
         t, d = self.table, self.d
-        lu = t.log[us].astype(np.int64)[:, None]
-        lv = t.log[vs].astype(np.int64)
+        lu = lu[:, None]
         # Both terms lie in [0, q-1), so one conditional subtraction reduces.
         at = lv + (t.qm1 // 2 - lu) % t.qm1
         at -= t.qm1 * (at >= t.qm1)
         z = t.zech[at]
         cls = lu % d + z
         cls -= cls // d * d  # numpy divides by a scalar faster than it takes `%`
-        adj = (z >= 0) & self._j_lut[cls]
-        if not us.all():
-            adj[us == 0] = self._member_mask(vs)
-        if not vs.all():
-            adj[:, vs == 0] = self._member_mask(us)[:, None]
-        return adj
+        return (z >= 0) & self._j_lut[cls]
 
     def clique_number(self, *, cap: int = 4096) -> int:
-        """Exact clique number; vertex-transitivity roots the search at 0."""
+        """Exact clique number; vertex-transitivity roots the search at 0, so it runs on S's exponents."""
         if self.table.q > cap:
             raise CapExceeded(f"clique_number on q={self.table.q} exceeds cap {cap}")
-        return 1 + maximum_clique(self._induced_adjacency(self.connection_set())).bit_count()
+        exponents = np.flatnonzero(np.tile(self._j_lut, self.table.qm1 // self.d))
+        return 1 + maximum_clique(self._induced_adjacency(exponents)).bit_count()
 
     # ------------------------------------------------------------ subfields
 

@@ -10,8 +10,8 @@ comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990; the lookup
 mode of the galois library, https://github.com/mhostetter/galois, keeps
 the same three tables).  Prime and extension fields share every method.
 The scalar add indexes zero-copy read-only memoryviews of the same
-tables, so each lookup is one buffer read, not an ndarray method call;
-add_many and sub_many index the arrays.
+tables, so each lookup is one buffer read, not an ndarray method call.
+Vectorized sums stay in the log domain (the pair kernel in cayley.py).
 
 Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficient
@@ -593,7 +593,7 @@ class FieldParams:
 
 class FieldTable:
     """Tables for GF(p^e), immutable once built via build_field, with the
-    sums add, add_many and sub_many and the subfield queries below.
+    scalar sum add and the subfield queries below.
 
     Attributes
     ----------
@@ -695,29 +695,6 @@ class FieldTable:
         la = log[a]
         z = self.zech_view[(log[b] - la) % qm1]
         return 0 if z < 0 else self.exp_view[(la + z) % qm1]
-
-    # ------------------------------------------------------- vectorized ops
-
-    def add_many(self, codes: np.ndarray, c: Element) -> np.ndarray:
-        """Codes of x + c for every x in codes.
-
-        For c = 0 the result is a read-only view of codes: no table pass.
-        """
-        if c == 0:
-            same = codes.view()
-            same.setflags(write=False)
-            return same
-        la = self.log[codes]
-        z = self.zech[(self.log_view[c] - la) % self.qm1]
-        out = self.exp[np.add(la, z, dtype=np.int64) % self.qm1]  # la + z can pass 2^31
-        out[z < 0] = 0  # x = -c
-        out[codes == 0] = c
-        return out
-
-    def sub_many(self, codes: np.ndarray, c: Element) -> np.ndarray:
-        """Codes of x - c for every x in codes: -c = g^(log c + (q-1)/2)."""
-        minus_c = 0 if c == 0 else self.exp_view[(self.log_view[c] + self.qm1 // 2) % self.qm1]
-        return self.add_many(codes, minus_c)
 
     # ------------------------------------------------------------ subfields
 

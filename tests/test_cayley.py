@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -44,7 +43,7 @@ def test_every_export_resolves_and_no_retired_name_is_exported():
     retired = {"SelfLoopQuery", "ZeroArgument"}
     assert not retired & (set(cayley_cliques.__all__) | set(vars(cayley_cliques)))
     retired_methods = {
-        cayley_cliques.FieldTable: ("sub", "mul", "inv", "pow", "elements", "neg"),
+        cayley_cliques.FieldTable: ("sub", "mul", "inv", "pow", "elements", "neg", "add_many", "sub_many"),
         cayley_cliques.CayleyGraph: ("adjacent", "in_connection_set"),
         cayley_cliques.Character: ("chi_class",),
         cayley_cliques.RootOfUnitySum: ("add_class", "total"),
@@ -139,7 +138,8 @@ def test_adjacency_is_translation_invariant(data):
     t = data.draw(st.integers(0, q - 1))
 
     def kernel(u: int, v: int) -> bool:
-        return bool(graph._pair_adjacency(np.array([u]), np.array([v]))[0, 0])
+        """The pair kernel on two units, the 0 rule when one is 0."""
+        return graph.is_clique([u, v])
     shifted = kernel(graph.table.add(x, t), graph.table.add(y, t))
     assert kernel(x, y) == shifted == kernel(y, x) == adjacent(graph, x, y)
 
@@ -165,23 +165,63 @@ def test_is_clique_matches_pairwise_adjacency(data):
 
 @pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 4), (3, 6)])
 def test_pair_kernel_matches_pairwise_adjacency(graphs, p, e):
-    """The log-domain pair kernel against the table-free oracle on
-    random vertex sets with and without 0, in random order.  From GF(5^4)
-    on, the 200-vertex set spans three row blocks."""
+    """The log-domain pair kernel against the table-free oracle on random
+    sets of units, given by their logs in random order.  From GF(5^4) on,
+    the 200-vertex set spans three row blocks."""
     rng = random.Random(p**e)
     q = p**e
     assert _rows_per_block(200) < 200
     for kind in (GraphKind.paley(2), GraphKind.peisert(4)):
         graph = graphs(p, e, kind)
-        for size, zero in itertools.product((1, 2, 40, min(q, 200)), (True, False)):
-            vs = [0] * zero + rng.sample(range(1, q), min(size - zero, q - 1))
-            rng.shuffle(vs)
+        for size in (1, 2, 40, min(q - 1, 200)):
+            vs = rng.sample(range(1, q), size)
             expected = graph_adjacency(graph, vs, vs)
-            vertices = np.array(vs, dtype=np.int64)
-            assert np.array_equal(graph._induced_adjacency(vertices), expected), (kind, size, zero)
+            logs = graph.table.log[vs].astype(np.int64)
+            assert np.array_equal(graph._induced_adjacency(logs), expected), (kind, size)
             # Rows and columns from different sets.
-            assert np.array_equal(graph._pair_adjacency(vertices[:7], vertices), expected[:7])
-            assert np.array_equal(graph._pair_adjacency(vertices, vertices[-5:]), expected[:, -5:])
+            assert np.array_equal(graph._pair_adjacency(logs[:7], logs), expected[:7])
+            assert np.array_equal(graph._pair_adjacency(logs, logs[-5:]), expected[:, -5:])
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (5, 4)])
+def test_zero_rule_at_the_boundary_matches_the_oracle(graphs, p, e):
+    """0 has no log: is_clique, common_neighbors and the extension decide
+    its pairs by 0 ~ v iff v in S.  Sets with 0 inside, sets in S that
+    have 0 as a common neighbor (and as a witness the extension takes),
+    and the empty set, against the table-free oracle."""
+    rng = random.Random(p * 1000 + e)
+    q = p**e
+    for kind in (GraphKind.paley(2), GraphKind.peisert(4)):
+        graph = graphs(p, e, kind)
+        oracle = FieldOracle.of(graph.table)
+        member = oracle.members(graph.d, graph.j)
+        units_in_s = np.flatnonzero(member).tolist()
+        assert graph.is_clique([]) and graph.common_neighbors([]) == list(range(q))
+        assert graph.is_clique([0]) and graph.common_neighbors([0]) == units_in_s
+        for size in (1, 2, 3):
+            for vs in ([0] + rng.sample(range(1, q), size), rng.sample(units_in_s, size)):
+                adjacency = graph_adjacency(graph, range(q), vs)
+                is_clique = adjacency[vs][np.triu_indices(len(vs), 1)].all()
+                assert graph.is_clique(vs) == is_clique, (kind, vs)
+                expected = [x for x in range(q) if adjacency[x].all()]
+                assert graph.common_neighbors(vs) == expected, (kind, vs)
+                assert (0 in expected) == (0 not in vs and member[vs].all())
+        base = [1]  # in S, without 0: its pool holds 0, the smallest witness
+        assert graph.common_neighbors(base)[0] == 0
+        greedy = graph.extend_to_maximal_clique(base, exact_budget=0).clique
+        assert greedy[0] == 0 and graph.is_maximal_clique(greedy) == (True, [])
+        if q < 100:
+            assert graph.extend_to_maximal_clique(base).clique == _reference_extension(graph, base)
+
+
+@pytest.mark.parametrize("vertices", [[-1, 0], [-12, 0], [13], [0, 1, 13]])
+def test_codes_outside_the_field_are_refused(gf13, vertices):
+    """-1 and -12 would wrap to units, 13 would index past the tables."""
+    graph = make_graph(gf13, GraphKind.paley(3))
+    for call in (graph.is_clique, graph.common_neighbors, graph.is_maximal_clique,
+                 graph.extend_to_maximal_clique):
+        with pytest.raises(ValueError, match=r"not a code of GF\(13\)"):
+            call(vertices)
 
 
 def test_is_clique_row_blocks_cover_every_pair(gf625, monkeypatch):
@@ -391,7 +431,7 @@ def test_corrupt_tables_are_caught_by_the_subfield_cross_checks(gf81):
 
 
 def test_extension_that_stops_short_is_an_invariant_error(gpstar81_4, monkeypatch):
-    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, pool: base)
+    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, logs: base)
     with pytest.raises(InvariantError, match="non-maximal"):
         gpstar81_4.extend_to_maximal_clique((0, 1, 2))
 
@@ -401,8 +441,8 @@ def test_extension_that_drops_a_base_vertex_is_an_invariant_error(gpstar81_4, mo
     is still adjacent to 0, so the result is not maximal."""
     extend_exact = CayleyGraph._extend_exact
 
-    def dropped(self, base, pool):
-        clique = extend_exact(self, base, pool)
+    def dropped(self, base, logs):
+        clique = extend_exact(self, base, logs)
         assert len(clique) == 9 and clique[0] == 0
         return clique[1:]
     monkeypatch.setattr(CayleyGraph, "_extend_exact", dropped)
@@ -547,7 +587,7 @@ def test_pool_orbits_partition_the_pool_into_free_orbits(graphs, p, e, r, kind):
     oracle = FieldOracle.of(t)
     base = list(t.subfield_elements(r))
     pool = np.array(graph.common_neighbors(base), dtype=np.int64)
-    orbits = graph._pool_orbits(base, pool)
+    orbits = graph._pool_orbits(base, t.log[pool].astype(np.int64))
     period = math.lcm(t.subfield_step(r), kind.d)
     units = np.array([oracle.pow(t.g, period * j) for j in range(t.qm1 // period)])
     group_order = len(units) * p**r
@@ -599,8 +639,8 @@ def test_non_subfield_base_takes_the_whole_pool_search(gpstar81_4):
     """A base that is no subfield has single witnesses as its orbits."""
     base = [0, 9]
     assert gpstar81_4.is_clique(base)
-    pool = np.array(gpstar81_4.common_neighbors(base), dtype=np.int64)
-    orbits = gpstar81_4._pool_orbits(base, pool)
+    pool = gpstar81_4.common_neighbors(base)
+    orbits = gpstar81_4._pool_orbits(base, gpstar81_4.table.log[pool].astype(np.int64))
     assert [orbit.tolist() for orbit in orbits] == [[i] for i in range(len(pool))]
     report = gpstar81_4.extend_to_maximal_clique(base)
     assert report.clique == _reference_extension(gpstar81_4, base)
@@ -622,9 +662,9 @@ def test_extension_size_matches_networkx_on_witness_pools(graphs, p, e, r, kind)
     omega = _networkx_omega(graph, pool)
     assert len(graph.extend_to_maximal_clique(base).clique) == len(base) + omega
     # The orbit search alone, with no greedy seed to fall back on.
-    vertices = np.array(pool, dtype=np.int64)
-    orbits = graph._pool_orbits(list(base), vertices)
-    assert CayleyGraph._orbit_clique_size(graph._induced_adjacency(vertices), orbits, 0) == omega
+    logs = graph.table.log[pool].astype(np.int64)
+    orbits = graph._pool_orbits(list(base), logs)
+    assert CayleyGraph._orbit_clique_size(graph._induced_adjacency(logs), orbits, 0) == omega
 
 
 @pytest.mark.parametrize("p,e,r,kind", NX_CASES, ids=_case_id)
@@ -635,20 +675,53 @@ def test_orbit_clique_size_does_not_depend_on_the_orbit_order(graphs, p, e, r, k
     base = list(graph.table.subfield_elements(r))
     pool = graph.common_neighbors(base)
     omega = _networkx_omega(graph, pool)
-    vertices = np.array(pool, dtype=np.int64)
-    adjacency = graph._induced_adjacency(vertices)
-    orbits = graph._pool_orbits(base, vertices)
+    logs = graph.table.log[pool].astype(np.int64)
+    adjacency = graph._induced_adjacency(logs)
+    orbits = graph._pool_orbits(base, logs)
     largest_first = sorted(orbits, key=len, reverse=True)
     for ordered in (orbits, orbits[::-1], largest_first):
         for lower in (0, omega - 1):
             assert CayleyGraph._orbit_clique_size(adjacency, ordered, lower) == omega
 
 
+def _with_zech(table, moves: dict[int, int]):
+    """A table with the same exp and log and a zech whose entries at the keys
+    of `moves` are replaced: x + g^0 = x (1 + 1/x), so setting the entry at
+    -log x to log y - log x sends x + 1 to y, and setting it to -1 sends it
+    to 0."""
+    zech, log = table.zech.copy(), table.log
+    for x, y in moves.items():
+        zech[-log[x] % table.qm1] = (log[y] - log[x]) % table.qm1 if y else -1
+    corrupt = FieldTable(table.params, table.g, table.exp, log)
+    zech.setflags(write=False)
+    corrupt.zech_view = memoryview(zech)  # shadows the cached property
+    return corrupt
+
+
+def _gpstar81_pool() -> tuple[list[int], np.ndarray]:
+    """F_3 and the logs of its GP*(81,4) witness pool, in code order."""
+    table = build_field(3, 4)
+    pool = make_graph(table, GraphKind.peisert(4)).common_neighbors([0, 1, 2])
+    return [0, 1, 2], table.log[pool].astype(np.int64)
+
+
 def test_orbit_image_outside_the_pool_is_an_invariant_error(gf81):
+    """A zech entry that sends 12 + 1 to 3 or to 0, outside the pool of F_3
+    (zech = -1 is the image 0, although log 12 - 1 is the log of 13)."""
+    base, logs = _gpstar81_pool()
+    for image in (3, 0):
+        graph = make_graph(_with_zech(gf81, {12: image}), GraphKind.peisert(4))
+        with pytest.raises(InvariantError, match="does not permute the witness pool at witness 12"):
+            graph._pool_orbits(base, logs)
+
+
+def test_pool_log_that_exp_does_not_invert_is_an_invariant_error(gf81):
+    """The extension reads the pool's logs once and checks them by exp."""
     log = gf81.log.copy()
-    log[12] = (log[12] + 40) % 80  # the log of -12: same class, so 12 stays a witness
+    log[12] = (log[12] + 40) % 80  # the log of -12 = 24: same class, so 12 stays a witness
     graph = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
-    with pytest.raises(InvariantError, match="does not permute the witness pool at witness 12"):
+    assert 12 in graph.common_neighbors([0, 1, 2])
+    with pytest.raises(InvariantError, match="exp does not invert log at witness 12"):
         graph.extend_to_maximal_clique((0, 1, 2))
 
 
@@ -658,33 +731,22 @@ def test_frobenius_image_that_splits_a_slice_is_an_invariant_error(gf81):
     # 10 and 13 keeps x^9 a permutation of the pool, but the Zech table
     # built from the swapped logs sends 26 + 1 out of the pool.
     graph = make_graph(gf81, GraphKind.peisert(4))
-    base = [0, 1, 2]
-    pool = np.array(graph.common_neighbors(base), dtype=np.int64)
-    assert len(graph._pool_orbits(base, pool)) == 1
+    base, logs = _gpstar81_pool()
+    assert len(graph._pool_orbits(base, logs)) == 1
     log = gf81.log.copy()
     log[[10, 13]] = log[[13, 10]]
     corrupt = make_graph(_with_log(gf81, log), GraphKind.peisert(4))
     with pytest.raises(InvariantError, match="does not permute the witness pool at witness 26"):
-        corrupt._pool_orbits(base, pool)
+        corrupt._pool_orbits(base, logs)
 
 
-def test_merged_g_orbits_are_an_invariant_error(monkeypatch):
+def test_merged_g_orbits_are_an_invariant_error(gf81):
     """x -> x + 1 still permutes the GP*(81,4) pool but trades the images of
     9 and 12, which joins its two <g^L> x| F orbits into one of 12."""
-    table = build_field(3, 4)
-    graph = make_graph(table, GraphKind.peisert(4))
-    base = [0, 1, 2]
-    pool = np.array(graph.common_neighbors(base), dtype=np.int64)
-    add_many = table.add_many
-
-    def crossed(codes, c):
-        out = add_many(codes, c)
-        if c == 1:
-            out[[0, 3]] = out[[3, 0]]
-        return out
-    monkeypatch.setattr(table, "add_many", crossed)
+    base, logs = _gpstar81_pool()
+    graph = make_graph(_with_zech(gf81, {9: 13, 12: 10}), GraphKind.peisert(4))
     with pytest.raises(InvariantError, match=r"orbit of witness 9 .* \|G\| = 6 elements"):
-        graph._pool_orbits(base, pool)
+        graph._pool_orbits(base, logs)
 
 
 def test_orbit_invariance_check_survives_optimize():
@@ -694,12 +756,23 @@ def test_orbit_invariance_check_survives_optimize():
         "from cayley_cliques import FieldTable, GraphKind, InvariantError, build_field, make_graph\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(2)\n"
+        "import numpy as np\n"
         "good = build_field(3, 4)\n"
         "log = good.log.copy()\n"
         "log[12] = (log[12] + 40) % 80\n"
         "table = FieldTable(good.params, good.g, good.exp, log)\n"
         "try:\n"
         "    make_graph(table, GraphKind.peisert(4)).extend_to_maximal_clique((0, 1, 2))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+        "zech = good.zech.copy()\n"
+        "zech[-good.log[12] % 80] = (good.log[3] - good.log[12]) % 80\n"
+        "zech.setflags(write=False)\n"
+        "table = FieldTable(good.params, good.g, good.exp, good.log)\n"
+        "table.zech_view = memoryview(zech)\n"
+        "logs = good.log[[9, 10, 11, 12, 13, 14, 18, 19, 20, 24, 25, 26]].astype(np.int64)\n"
+        "try:\n"
+        "    make_graph(table, GraphKind.peisert(4))._pool_orbits([0, 1, 2], logs)\n"
         "except InvariantError as exc:\n"
         "    print(exc)\n"
         "    sys.exit(0)\n"
@@ -710,6 +783,7 @@ def test_orbit_invariance_check_survives_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert "exp does not invert log at witness 12" in done.stdout
     assert "does not permute the witness pool at witness 12" in done.stdout
 
 
@@ -807,11 +881,11 @@ def _first_orbit_subproblem(graph, r: int) -> tuple[list[int], int]:
     subfield F_{p^r}: N(w) in the witness pool, for w the smallest member
     of the largest orbit, and the bound it is asked to beat."""
     base = list(graph.table.subfield_elements(r))
-    pool = np.array(graph.common_neighbors(base), dtype=np.int64)
-    adjacency = graph._induced_adjacency(pool)
-    orbit = max(graph._pool_orbits(base, pool), key=len)
+    logs = graph.table.log[graph.common_neighbors(base)].astype(np.int64)
+    adjacency = graph._induced_adjacency(logs)
+    orbit = max(graph._pool_orbits(base, logs), key=len)
     sub = np.flatnonzero(adjacency[orbit[0]])
-    seed = len(graph._extend_greedy(base, pool.tolist())) - len(base)
+    seed = len(graph._extend_greedy(base, logs)) - len(base)
     return _row_masks(adjacency[np.ix_(sub, sub)]), seed - 1
 
 
@@ -836,8 +910,8 @@ def test_colour_class_cut_leaves_the_search_unchanged(graphs, monkeypatch):
     for p, e, r, kind in ORBIT_CASES:
         if (p, e) == (3, 6):
             graph = graphs(p, e, kind)
-            pool = np.array(graph.common_neighbors(graph.table.subfield_elements(r)), dtype=np.int64)
-            cases.append(_row_masks(graph._induced_adjacency(pool)))
+            pool = graph.common_neighbors(graph.table.subfield_elements(r))
+            cases.append(_row_masks(graph._induced_adjacency(graph.table.log[pool].astype(np.int64))))
     dense = [_random_graph(n, density, rng)
              for n, density in [(40, 0.9), (60, 0.8), (80, 0.7), (100, 0.6), (150, 0.5), (150, 0.6)]]
     subproblem, bound = _first_orbit_subproblem(graphs(5, 6, GraphKind.peisert(62)), 1)

@@ -236,7 +236,7 @@ def test_negative_exact_budget_exits_2_before_verifying(capsys, argv):
 
 
 def test_broken_invariant_exits_1_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, pool: base)
+    monkeypatch.setattr(CayleyGraph, "_extend_exact", lambda self, base, logs: base)
     code, out, err = run(capsys, "clique-extend", "--p", "3", "--s", "1", "--n", "4",
                          "--d", "4", "--kind", "peisert")
     assert code == 1

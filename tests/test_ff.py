@@ -768,8 +768,8 @@ def test_add_matches_digitwise_oracle(p, e):
         sums = [_code([(x + y) % p for x, y in zip(digits[a], digits[b])], p) for a in codes]
         diffs = [_code([(x - y) % p for x, y in zip(digits[a], digits[b])], p) for a in codes]
         assert [table.add(int(a), b) for a in codes] == sums
-        assert table.add_many(codes, b).tolist() == sums
-        assert table.sub_many(codes, b).tolist() == diffs
+        minus_b = int(table.exp[(table.log[b] + table.qm1 // 2) % table.qm1]) if b else 0
+        assert [table.add(int(a), minus_b) for a in codes] == diffs
 
 
 def test_frozen_small_products(gf13, gf9):
@@ -785,7 +785,7 @@ def test_frozen_small_products(gf13, gf9):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_field_axioms(data):
-    # The tables' sums (add, sub_many), products, negatives and inverses
+    # The tables' sums (add), products, negatives and inverses
     # obey the axioms and agree with the oracle.
     table = _small_table(*data.draw(st.sampled_from(SMALL_FIELDS)))
     oracle = FieldOracle.of(table)
@@ -801,9 +801,9 @@ def test_field_axioms(data):
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    minus_b = int(table.sub_many(np.array([0]), b)[0])
+    minus_b = int(table.exp[(table.log[b] + table.qm1 // 2) % table.qm1]) if b else 0
     assert add(b, minus_b) == 0 and minus_b == oracle.neg(b)
-    assert int(table.sub_many(np.array([a]), b)[0]) == add(a, minus_b) == oracle.sub(a, b)
+    assert add(a, minus_b) == oracle.sub(a, b)
     if a:
         inverse = int(table.exp[-int(table.log[a]) % table.qm1])
         assert mul(a, inverse) == 1 and inverse == oracle.inv(a)
@@ -824,30 +824,6 @@ def test_pow_matches_repeated_mul(data):
     log_a = int(table.log[a])
     assert int(table.exp[log_a * k % table.qm1]) == acc
     assert int(table.exp[-log_a % table.qm1]) == oracle.inv(a)
-
-
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_vector_ops_match_scalar(data):
-    table = _small_table(*data.draw(st.sampled_from(SMALL_FIELDS)))
-    xs = np.array(data.draw(st.lists(st.integers(0, table.q - 1), min_size=1, max_size=30)))
-    c = data.draw(st.integers(0, table.q - 1))
-    oracle = FieldOracle.of(table)
-    sums = [oracle.add(int(x), c) for x in xs]
-    assert [int(v) for v in table.add_many(xs, c)] == [table.add(int(x), c) for x in xs] == sums
-    assert [int(v) for v in table.sub_many(xs, c)] == [oracle.sub(int(x), c) for x in xs]
-
-
-@pytest.mark.parametrize("p,e", [(13, 1), (3, 4), (5, 4)])
-def test_adding_zero_matches_scalar_loop_and_keeps_input(p, e):
-    table = build_field(p, e)
-    codes = np.random.default_rng(p * e).permutation(table.q)
-    before = codes.copy()
-    for many, scalar in ((table.add_many, table.add), (table.sub_many, FieldOracle.of(table).sub)):
-        out = many(codes, 0)
-        assert out.tolist() == [scalar(int(x), 0) for x in codes]
-        assert not out.flags.writeable
-        np.testing.assert_array_equal(codes, before)
 
 
 # ---------------------------------------------------------------------------
@@ -965,10 +941,7 @@ def test_fields_of_2_to_the_31_elements_are_refused_whatever_the_cap(monkeypatch
         build_field(3, 20, cap=2**40)  # 3^20 = 3,486,784,401
 
 
-def test_tables_are_int32_and_add_many_matches_scalar_add(gf81):
-    codes = np.arange(gf81.q)
-    for b in range(gf81.q):
-        assert gf81.add_many(codes, b).tolist() == [gf81.add(a, b) for a in range(gf81.q)]
+def test_tables_are_int32(gf81):
     assert {t.dtype for t in (gf81.exp, gf81.log, gf81.zech)} == {np.dtype(np.int32)}
 
 
