@@ -251,7 +251,9 @@ class CayleyGraph:
         return None
 
     def is_maximal_clique(self, vertices) -> tuple[bool, list[Element]]:
-        """(maximal?, witnesses); witnesses are the common neighbors, ascending."""
+        """(maximal?, witnesses); witnesses are the common neighbors, ascending.
+        vertices may be any iterable, an iterator too: it is read once."""
+        vertices = list(vertices)
         if not self.is_clique(vertices):
             raise NotAClique(f"the set of {len(set(vertices))} vertices is not a clique")
         witnesses = self.common_neighbors(vertices)
@@ -274,6 +276,7 @@ class CayleyGraph:
         """
         if exact_budget < 0:
             raise ValueError(f"exact budget must be >= 0, got {exact_budget}")
+        vertices = list(vertices)  # read once: an iterator would be spent by the clique test
         _, pool = self.is_maximal_clique(vertices)
         return self._extend(vertices, pool, exact_budget)
 

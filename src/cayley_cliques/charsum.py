@@ -7,10 +7,13 @@ term off the log table.  Sums over field elements are accumulated exactly
 as integer counts per root-of-unity class (RootOfUnitySum); floating point
 enters only when a magnitude is needed, and then through compensated
 summation, so 1e-9 tolerances are meaningful.
-Equal counts give equal magnitudes, so the Katz scan computes one magnitude
-per distinct class-count vector, and it finds its theta from log residues
-(theta lies in a subfield exactly when its log is a multiple of that
-subfield's step) instead of testing each element's degree.
+The Katz scan finds its theta from log residues (theta lies in a subfield
+exactly when its log is a multiple of that subfield's step) instead of
+testing each element's degree, and it computes one line sum per orbit of
+x -> cx + b, c and b in the base F: the counts of c theta + b are those of
+theta turned by the class of c.  The magnitudes are equal, their floats
+not always, so each member's comes from its turned (class, count) pairs,
+the bits its own line sum would give.
 
 The epsilon_star computation is plane geometry: the optimal constant for
 which every multiset sum from M = {zeta_d^j : j in J} has modulus >= eps
@@ -25,7 +28,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ff import Element, FieldTable, NotADivisor
+import numpy as np
+
+from .ff import _CHUNK, Element, FieldTable, InvariantError, NotADivisor, _integer
 
 
 class ZeroEncountered(ValueError):
@@ -67,6 +72,17 @@ def _unit_circle(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
 
 
+def _root_sum(d: int, pairs: list[tuple[int, int]]) -> complex:
+    """The sum of c zeta_d^j over the (class j, count c) pairs.
+
+    Each part is one math.fsum, which is correctly rounded: it depends on
+    which products c * cos[j] (c * sin[j]) it sums, not on their order.  So
+    pairs turned by t, ((j + t) mod d, c), give the value of the counts
+    turned by t bit for bit."""
+    cos, sin = _unit_circle(d)
+    return complex(math.fsum(c * cos[j] for j, c in pairs), math.fsum(c * sin[j] for j, c in pairs))
+
+
 @dataclass
 class RootOfUnitySum:
     """Exact sum of d-th roots of unity, kept as integer class counts."""
@@ -79,10 +95,7 @@ class RootOfUnitySum:
         return RootOfUnitySum(d, [0] * d)
 
     def value(self) -> complex:
-        cos, sin = _unit_circle(self.d)
-        re = math.fsum(c * cos[j] for j, c in enumerate(self.counts) if c)
-        im = math.fsum(c * sin[j] for j, c in enumerate(self.counts) if c)
-        return complex(re, im)
+        return _root_sum(self.d, [(j, c) for j, c in enumerate(self.counts) if c])
 
     def magnitude(self) -> float:
         return abs(self.value())
@@ -117,7 +130,7 @@ class KatzReport:
     bound: float
     max_ratio: float
     worst_theta: Element
-    theta_count: int
+    theta_count: int  # line sums computed, one per orbit of p^r (p^r - 1) theta
 
     @property
     def bound_satisfied(self) -> bool:
@@ -151,18 +164,86 @@ KATZ_REPORT_SCHEMA = {
 }
 
 
+def _theta_orbits(table: FieldTable, r: int,
+                  thetas: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The orbits of the valid theta under AGL(1, F), F = F_{p^r}: x -> cx + b.
+
+    thetas are the valid theta ascending (full_degree_elements(r)).  The
+    first theta no orbit has reached yet represents the next orbit, so each
+    representative is its orbit's least member.  With Q = p^r and step =
+    subfield_step(r), member k Q + i of the orbit of theta is c theta + b
+    for c = g^(k step), k < Q - 1, b = 0 when i = 0 and b = g^((i-1) step)
+    otherwise; its log is log theta + k step for b = 0, else log b +
+    zech[(log theta + k step - log b) mod (q - 1)], and exp gives its code.
+    A theta of degree n >= 2 has no fixed point (c theta + b = theta with
+    c != 1 puts theta in F), so every orbit has Q (Q - 1) members.
+
+    Returns the representatives (indices into thetas) and, per theta, its
+    orbit and its slot k Q + i in that orbit.  An image that is no valid
+    theta (0 included, zech = -1), a theta reached twice, and a
+    representative outside its own orbit raise InvariantError.
+    """
+    t, n, q_r = table, len(thetas), table.p**r
+    step = t.subfield_step(r)
+    units = np.arange(0, t.qm1, step)  # the logs of F*, c and b alike
+    rows = max(1, _CHUNK // q_r)  # rows of Q members per pass; bounds the transients
+    orbit = np.full(n, -1, dtype=np.int32)
+    slot = np.empty(n, dtype=np.int32)
+    reps: list[int] = []
+    free = orbit < 0
+    i = 0
+    while free[i]:
+        o, theta = len(reps), int(thetas[i])
+        reps.append(i)
+        log_theta = int(t.log[theta])
+        for k in range(0, q_r - 1, rows):
+            scaled = (log_theta + units[k : k + rows]) % t.qm1  # log c theta
+            z = t.zech[(scaled[:, None] - units) % t.qm1]
+            codes = np.empty((len(scaled), q_r), dtype=np.int64)
+            codes[:, 0] = t.exp[scaled]
+            codes[:, 1:] = np.where(z < 0, 0, t.exp[(units + z) % t.qm1])
+            codes = codes.ravel()
+            at = np.searchsorted(thetas, codes).clip(max=n - 1)
+            members = np.arange(k * q_r, k * q_r + len(codes), dtype=np.int32)
+            bad = thetas[at] != codes
+            if bad.any():
+                row, i_b = divmod(int(members[np.argmax(bad)]), q_r)
+                c, b = t.exp[units[row]], 0 if i_b == 0 else t.exp[units[i_b - 1]]
+                raise InvariantError(f"x -> {c} x + {b} over F_{{{t.p}^{r}}} sends theta={theta} to "
+                                     f"{codes[np.argmax(bad)]}, no valid theta: corrupt tables")
+            slot[at] = members
+            twice = (orbit[at] >= 0) | (slot[at] != members)
+            if twice.any():
+                raise InvariantError(f"the orbits over F_{{{t.p}^{r}}} reach theta={codes[np.argmax(twice)]} "
+                                     f"twice: corrupt tables")
+            orbit[at], free[at] = o, False
+        if orbit[i] != o:
+            raise InvariantError(f"theta={theta} is not in its own orbit over F_{{{t.p}^{r}}}: "
+                                 f"corrupt tables")
+        i += int(np.argmax(free[i:]))  # the next free theta; with none left i stays, and the loop ends
+    return reps, orbit, slot
+
+
 def katz_bound_check(table: FieldTable, r: int, d: int) -> KatzReport:
     """Scan |sum_{a in F_{p^r}} chi(theta + a)| <= (n-1) sqrt(p^r) over all
     theta with F_{p^r}(theta) the whole field, chi of order d.
 
     The ratio to the bound should never exceed 1 (up to 1e-9 float fuzz);
-    a larger value means corrupt tables, not new mathematics.
+    a larger value means corrupt tables, not new mathematics.  r and d may
+    be any integer type (operator.index); anything else raises TypeError.
 
     The valid theta come from their log residues
-    (FieldTable.full_degree_elements), in ascending order.  The magnitude, a
-    function of the class counts alone, is computed once per distinct count
-    vector, so max_ratio and worst_theta are those of a per-theta evaluation.
+    (FieldTable.full_degree_elements), in ascending order, and fall into
+    orbits of p^r (p^r - 1) under x -> cx + b, c in F*, b in F
+    (_theta_orbits).  Since S(c theta + b) = chi(c) S(theta), one line sum
+    per orbit gives every member's counts: its representative's, turned by
+    t = log c mod d.  Each member's ratio is evaluated from the turned
+    (class, count) pairs, which _root_sum sums to the same bits as that
+    member's own line sum would.  worst_theta is the first theta,
+    ascending, to attain max_ratio, as in a per-theta scan with a strict >.
+    theta_count is the number of line sums, one per orbit.
     """
+    r, d = _integer("r", r), _integer("d", d)
     if d == 1:
         raise TrivialCharacter("the Katz bound needs a nontrivial character")
     if r < 1 or table.e % r != 0:
@@ -173,21 +254,23 @@ def katz_bound_check(table: FieldTable, r: int, d: int) -> KatzReport:
     base = table.subfield_elements(r)
     n = table.e // r
     bound = (n - 1) * math.sqrt(table.p**r)
-    thetas = table.full_degree_elements(r).tolist()
-    if not thetas:
+    thetas = table.full_degree_elements(r)
+    if not thetas.size:
         raise NoValidTheta(f"no element generates degree {n} over F_{table.p}^{r}")
-    ratios: dict[tuple[int, ...], float] = {}
-    max_ratio = -1.0
-    worst_theta = -1
-    for theta in thetas:
-        acc = line_sum(chi, theta, base)
-        key = tuple(acc.counts)
-        ratio = ratios.get(key)
-        if ratio is None:
-            ratio = ratios[key] = acc.magnitude() / bound
-        if ratio > max_ratio:
-            max_ratio, worst_theta = ratio, theta
-    return KatzReport(table.p, table.e, r, d, n, bound, max_ratio, worst_theta, len(thetas))
+    reps, orbit, slot = _theta_orbits(table, r, thetas)
+    step = table.subfield_step(r)
+    # c = g^(k step) turns the classes by k step mod d, which repeats with period `turns` in k.
+    turns = d // math.gcd(d, step)
+    ratios = np.empty((len(reps), turns))
+    for o, i in enumerate(reps):
+        pairs = [(j, c) for j, c in enumerate(line_sum(chi, int(thetas[i]), base).counts) if c]
+        for k in range(turns):
+            t = k * step % d
+            ratios[o, k] = abs(_root_sum(d, [((j + t) % d, c) for j, c in pairs])) / bound
+    per_theta = ratios[orbit, slot // table.p**r % turns]
+    worst = int(np.argmax(per_theta))
+    return KatzReport(table.p, table.e, r, d, n, bound, float(per_theta[worst]),
+                      int(thetas[worst]), len(reps))
 
 
 # --------------------------------------------------------------------------

@@ -318,6 +318,22 @@ def test_extension_of_maximal_clique_is_identity(gf9):
     assert graph.common_neighbors({0, 1, 2}) == []
 
 
+@pytest.mark.parametrize("budget", [2000, 0])
+def test_one_shot_iterables_are_read_once(gpstar81_4, budget):
+    """An iterator gives what the list gives: the clique test does not spend it."""
+    for vertices in ([0, 1, 2], [12, 13, 14], [0, 1, 2, 9, 10, 11]):
+        witnesses = gpstar81_4.is_maximal_clique(vertices)
+        assert gpstar81_4.is_maximal_clique(iter(vertices)) == witnesses
+        assert gpstar81_4.is_maximal_clique(v for v in vertices) == witnesses
+        report = gpstar81_4.extend_to_maximal_clique(vertices, exact_budget=budget)
+        assert gpstar81_4.extend_to_maximal_clique(iter(vertices), exact_budget=budget) == report
+        assert set(report.clique) >= set(vertices)
+    assert len(gpstar81_4.is_maximal_clique(iter([0, 1, 2]))[1]) == 12
+    assert gpstar81_4.extend_to_maximal_clique(iter([12, 13, 14])).clique == (0, 1, 2, 12, 13, 14, 24, 25, 26)
+    with pytest.raises(NotAClique, match="^the set of 5 vertices is not a clique$"):
+        gpstar81_4.is_maximal_clique(iter([0, 1, 2, 9, 12]))
+
+
 def test_non_clique_input_rejected(gpstar81_4):
     with pytest.raises(NotAClique, match="^the set of 5 vertices is not a clique$"):
         gpstar81_4.is_maximal_clique({0, 1, 2, 9, 12})

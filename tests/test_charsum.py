@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from cayley_cliques import (
     Character,
+    FieldTable,
+    InvariantError,
     NoValidTheta,
     NotADivisor,
     RootOfUnitySum,
@@ -25,6 +27,8 @@ from cayley_cliques import (
     line_sum,
     unit_root,
 )
+from cayley_cliques import charsum
+from cayley_cliques.charsum import _theta_orbits
 from field_oracle import FieldOracle
 
 # ---------------------------------------------------------------------------
@@ -169,14 +173,117 @@ def _katz_per_theta(table, r, d):
 
 @pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 3), (3, 6)])
 def test_katz_scan_matches_a_per_theta_scan_bit_for_bit(p, e):
-    """One magnitude per distinct count vector and the log-residue theta set
-    change no bit of the report: n = 2, 3, 4 and 6 (two primes l | n)."""
+    """One line sum per AGL(1, F) orbit, its counts turned for every other
+    member, and the log-residue theta set change no bit of the report:
+    n = 2, 3, 4 and 6 (two primes l | n).  The orbits hold p^r (p^r - 1)
+    theta each, so theta_count line sums cover the per-theta scan's set."""
     table = build_field(p, e)
     for r in sympy.divisors(e)[:-1]:
         for d in sympy.divisors(table.qm1)[1:]:
             report = katz_bound_check(table, r, d)
-            expected = _katz_per_theta(table, r, d)
-            assert (report.max_ratio, report.worst_theta, report.theta_count) == expected, (r, d)
+            max_ratio, worst_theta, count = _katz_per_theta(table, r, d)
+            assert (report.max_ratio, report.worst_theta) == (max_ratio, worst_theta), (r, d)
+            assert report.theta_count * p**r * (p**r - 1) == count, (r, d)
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (5, 4), (7, 3), (3, 6)])
+def test_theta_orbits_partition_the_valid_theta_into_agl_orbits(p, e):
+    """Member k Q + i of each orbit is c theta + b, c = g^(k step) and b = 0
+    or g^((i-1) step), by the table-free oracle's products and sums; the
+    members partition the valid theta, Q (Q - 1) to an orbit, and each
+    representative is its orbit's least member, ascending."""
+    table = build_field(p, e)
+    oracle = FieldOracle.of(table)
+    for r in sympy.divisors(e)[:-1]:
+        q_r, step = p**r, table.subfield_step(r)
+        thetas = table.full_degree_elements(r)
+        reps, orbit, slot = _theta_orbits(table, r, thetas)
+        units = np.array([oracle.pow(table.g, k * step) for k in range(q_r - 1)])
+        scaled = oracle.mul_many(units[None, :], thetas[reps][:, None])  # c theta
+        members = oracle.add_many(scaled[:, :, None], np.concatenate([[0], units])[None, None, :])
+        members = members.reshape(len(reps), -1)
+        assert members.shape[1] == q_r * (q_r - 1)
+        assert np.array_equal(np.sort(members.ravel()), thetas), r
+        assert np.array_equal(members[orbit, slot], thetas), r
+        assert np.array_equal(members.min(axis=1), thetas[reps]), r
+        assert reps == sorted(reps) and reps[0] == 0
+        assert np.bincount(orbit).tolist() == [q_r * (q_r - 1)] * len(reps)
+
+
+@pytest.mark.parametrize("chunk", [1, 20, 100])
+def test_theta_orbits_do_not_depend_on_the_rows_per_pass(monkeypatch, chunk):
+    """Orbits of 702 (r = 3) and 72 (r = 2) members, built one or a few
+    rows of Q members per pass, equal the orbits built in one pass."""
+    table = build_field(3, 6)
+    whole = {r: _theta_orbits(table, r, table.full_degree_elements(r)) for r in (2, 3)}
+    reports = {r: katz_bound_check(table, r, 728) for r in (2, 3)}
+    monkeypatch.setattr(charsum, "_CHUNK", chunk)
+    for r, (reps, orbit, slot) in whole.items():
+        got_reps, got_orbit, got_slot = _theta_orbits(table, r, table.full_degree_elements(r))
+        assert got_reps == reps and np.array_equal(got_orbit, orbit) and np.array_equal(got_slot, slot)
+        assert katz_bound_check(table, r, 728) == reports[r]
+
+
+def test_katz_n2_is_one_orbit_and_one_line_sum(monkeypatch):
+    """GF(5^6) over F_125: the 15,500 theta of degree 2 are one orbit, so the
+    scan takes one line sum, and its turned counts find the equality case."""
+    calls = []
+    monkeypatch.setattr(charsum, "line_sum",
+                        lambda chi, theta, base: calls.append(theta) or line_sum(chi, theta, base))
+    report = katz_bound_check(build_field(5, 6), 3, 62)
+    assert len(calls) == report.theta_count == 1
+    assert report.max_ratio == 1.0000000000000009  # |S| = bound, up to float error
+    assert report.worst_theta == 710
+    assert report.bound_satisfied
+
+
+def _with_log(table, log):
+    """The unchecked constructor: the same exp, a replaced log, its zech built from both."""
+    return FieldTable(table.params, table.g, table.exp, log)
+
+
+@pytest.mark.parametrize("swap,r,message", [
+    # Swapped, log 1 = 22 and log 3 = 0: 1 reads as a theta of degree 4, 3 as a unit of F_3, and exp[22] = 3.
+    ((1, 3), 1, r"x -> 1 x \+ 0 over F_\{3\^1\} sends theta=1 to 3, no valid theta"),
+    ((4, 15), 2, r"x -> 22 x \+ 22 over F_\{3\^2\} sends theta=3 to 16, no valid theta"),
+    ((3, 5), 1, r"the orbits over F_\{3\^1\} reach theta=5 twice"),
+    ((3, 5), 2, r"the orbits over F_\{3\^2\} reach theta=5 twice"),
+    ((3, 9), 1, r"theta=3 is not in its own orbit over F_\{3\^1\}"),
+])
+def test_orbit_images_off_the_valid_set_or_twice_are_invariant_errors(gf81, swap, r, message):
+    """Swapping two logs of GF(81) leaves exp and the valid theta out of
+    step: an image leaves the valid set, two orbits collide, or a
+    representative misses its own orbit."""
+    log = gf81.log.copy()
+    log[list(swap)] = log[list(swap[::-1])]
+    with pytest.raises(InvariantError, match=message + ": corrupt tables$"):
+        katz_bound_check(_with_log(gf81, log), r, 2)
+
+
+def test_orbit_image_zero_is_an_invariant_error(gf81):
+    """A zech entry of -1 sends theta + b to 0, never a valid theta: the
+    orbits read log(c theta + b) as log b + zech[log c theta - log b]."""
+    zech = gf81.zech.copy()
+    theta = int(gf81.full_degree_elements(1)[0])
+    zech[gf81.log[theta]] = -1  # theta + 1 = 1 (1 + theta) = 0
+    zech.setflags(write=False)
+    table = _with_log(gf81, gf81.log)
+    table.zech_view = memoryview(zech)  # shadows the cached property
+    with pytest.raises(InvariantError, match=rf"x -> 1 x \+ 1 .* sends theta={theta} to 0, no valid theta"):
+        katz_bound_check(table, 1, 2)
+
+
+@pytest.mark.parametrize("r,d", [(1.0, 8), (1, 8.0), (2.5, 8), (1, 2.5), (np.float64(1.0), 8), (1, np.float32(8))])
+def test_katz_refuses_non_integral_r_and_d(gf81, r, d):
+    name = "r" if not isinstance(r, int) else "d"
+    with pytest.raises(TypeError, match=rf"^{name}=.* is not an integer$"):
+        katz_bound_check(gf81, r, d)
+
+
+def test_katz_takes_numpy_integers(gf81):
+    report = katz_bound_check(gf81, np.int64(1), np.int32(8))
+    assert report == katz_bound_check(gf81, 1, 8)
+    assert type(report.r) is int and type(report.d) is int
 
 
 def test_katz_worst_theta_is_deterministic(gf81):
