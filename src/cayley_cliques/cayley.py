@@ -329,17 +329,13 @@ class CayleyGraph:
         The maximum clique size comes from one rooted subproblem per orbit of
         W (see _pool_orbits: under x -> u x^(p^k) + f when the base is a
         subfield F, else single witnesses).  The clique returned is the one
-        a single search of W seeded with the greedy extension returns: the
-        seed when nothing beats it, else the first clique of the optimum
-        size that search meets.  Both read W's boolean adjacency matrix.
+        a single search of W seeded with the greedy extension
+        (_extend_greedy) returns: the seed when nothing beats it, else the
+        first clique of the optimum size that search meets.  The search
+        reads W's boolean adjacency matrix.
         """
         adjacency = self._induced_adjacency(logs)
-        # Greedy extension: the pool is in code order, so the first
-        # candidate left is the smallest common neighbor.
-        seed, cand = [], np.arange(len(logs))
-        while cand.size:
-            seed.append(int(cand[0]))
-            cand = cand[adjacency[cand[0], cand]]
+        seed = self._extend_greedy(logs)
         size = self._orbit_clique_size(adjacency, self._pool_orbits(base, logs), len(seed))
         if size == len(seed):
             return seed

@@ -107,14 +107,14 @@ def line_sum(chi: Character, theta: Element, base_elements) -> RootOfUnitySum:
     theta must avoid -base_elements; a zero term raises ZeroEncountered.
     """
     table, d = chi.table, chi.d
-    add, log = table.add, table.log_view
+    add, log = table.add, table.log
     acc = RootOfUnitySum.zero(d)
     counts = acc.counts
     for a in base_elements:
         x = add(theta, a)
         if x == 0:
             raise ZeroEncountered(f"theta={theta} plus a={a} is 0")
-        counts[log[x] % d] += 1
+        counts[log.item(x) % d] += 1
     return acc
 
 

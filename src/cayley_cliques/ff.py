@@ -9,9 +9,8 @@ Z[k] = log(1 + g^k), log(a + b) = log a + Z[log b - log a] (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. IT 36(4), 1990; the lookup
 mode of the galois library, https://github.com/mhostetter/galois, keeps
 the same three tables).  Prime and extension fields share every method.
-The scalar add indexes zero-copy read-only memoryviews of the same
-tables, so each lookup is one buffer read, not an ndarray method call.
-Vectorized sums stay in the log domain (the pair kernel in cayley.py).
+The scalar add reads each table entry as a Python int (ndarray.item);
+vectorized sums stay in the log domain (the pair kernel in cayley.py).
 
 Construction is deterministic: the reducing polynomial is the
 lexicographically smallest monic irreducible of its degree (coefficient
@@ -612,15 +611,10 @@ class FieldTable:
     zech : int32 ndarray, shape (q-1,)
         Zech logarithm: zech[k] = log(1 + g^k), so zech[(q-1)/2] = -1 marks
         1 + g^k = 0.  Built on the first addition, not by build_field.
-    exp_view, log_view, zech_view : memoryview
-        Read-only views of the same three tables, for the scalar add and
-        other scalar reads: indexing one returns a Python int.  Each array is read back from its view
-        (memoryview.obj), so a table and its view cannot disagree, and
-        exp, log and zech cannot be rebound.
 
-    The tables take 4 bytes per element after build_field (none with
-    keep_exp=False), 8 once log is read and 12 once zech is built; the
-    views share their memory.  A log passed to the constructor is used as
+    The tables are read-only and take 4 bytes per element after
+    build_field (none with keep_exp=False), 8 once log is read and 12 once
+    zech is built.  An exp or log passed to the constructor is used as
     given, unchecked: that is how tests build corrupt tables.
     """
 
@@ -634,42 +628,30 @@ class FieldTable:
         self.g = g
         if exp is not None:
             exp.setflags(write=False)
-            self.exp_view = memoryview(exp)  # shadows the cached_property
+            self.exp = exp  # shadows the cached_property
         if log is not None:
             log.setflags(write=False)
-            self.log_view = memoryview(log)  # shadows the cached_property
-
-    @property
-    def exp(self) -> np.ndarray:
-        return self.exp_view.obj
+            self.log = log  # shadows the cached_property
 
     @cached_property
-    def exp_view(self) -> memoryview:
+    def exp(self) -> np.ndarray:
         """exp, built and certified on first use when build_field kept none."""
         exp = _certified_exp(self.p, self.e, self.q, self.params.modulus, self.g, keep=True)
         exp.setflags(write=False)
-        return memoryview(exp)
-
-    @property
-    def log(self) -> np.ndarray:
-        return self.log_view.obj
+        return exp
 
     @cached_property
-    def log_view(self) -> memoryview:
+    def log(self) -> np.ndarray:
         """log, built on first use by _build_log from the certified exp."""
         log = _build_log(self.p, self.e, self.q, self.exp)
         log.setflags(write=False)
-        return memoryview(log)
+        return log
 
     def __repr__(self) -> str:
         return f"FieldTable(GF({self.p}^{self.e}))"
 
-    @property
-    def zech(self) -> np.ndarray:
-        return self.zech_view.obj
-
     @cached_property
-    def zech_view(self) -> memoryview:
+    def zech(self) -> np.ndarray:
         """zech[k] = log(1 + g^k), built in chunks on first use.
 
         1 + x only bumps the constant digit of x's code, wrapping p - 1 to
@@ -686,20 +668,33 @@ class FieldTable:
             plus_one -= p * (plus_one - plus_one // p * p == 0)
             np.take(self.log, plus_one, out=zech[lo : lo + _CHUNK])
         zech.setflags(write=False)
-        return memoryview(zech)
+        return zech
 
     def add(self, a: Element, b: Element) -> Element:
+        """a + b by one Zech lookup; a code outside [0, q) raises ValueError.
+
+        Entries are read with ndarray.item, a Python int: an np.int32 sum
+        la + z could wrap for q past 2^30.
+        """
+        q = self.q
+        if not (0 <= a < q and 0 <= b < q):
+            raise ValueError(f"{b if 0 <= a < q else a} is not a code of GF({q})")
         if a == 0 or b == 0:
             return a + b
-        log, qm1 = self.log_view, self.qm1
-        la = log[a]
-        z = self.zech_view[(log[b] - la) % qm1]
-        return 0 if z < 0 else self.exp_view[(la + z) % qm1]
+        log, qm1 = self.log, self.qm1
+        la = log.item(a)
+        z = self.zech.item((log.item(b) - la) % qm1)
+        return 0 if z < 0 else self.exp.item((la + z) % qm1)
 
     # ------------------------------------------------------------ subfields
 
     def subfield_step(self, r: int) -> int:
-        """(q-1)/(p^r-1), the log of a generator of F_{p^r}*; requires r | e."""
+        """(q-1)/(p^r-1), the log of a generator of F_{p^r}*; requires r | e.
+
+        r may be any integer type (operator.index); anything else, 2.0 say,
+        raises TypeError.  The other subfield queries validate r here.
+        """
+        r = _integer("r", r)
         if r < 1 or self.e % r != 0:
             raise NotADivisor(f"r={r} does not divide e={self.e}")
         return self.qm1 // (self.p**r - 1)
@@ -718,17 +713,17 @@ class FieldTable:
         return tuple(sorted([0] + [int(c) for c in codes]))
 
     def degree_over_base(self, theta: Element, r: int) -> int:
-        """Degree of F_{p^r}(theta) over F_{p^r}: least m with theta^(p^(r m)) = theta."""
-        if r < 1 or self.e % r != 0:
-            raise NotADivisor(f"r={r} does not divide e={self.e}")
+        """Degree of F_{p^r}(theta) over F_{p^r}: the least m | e/r with
+        theta in F_{p^(r m)}, that is, with log theta a multiple of
+        subfield_step(r m).  m = e/r always qualifies: its step is 1."""
+        self.subfield_step(r)
+        if not 0 <= theta < self.q:
+            raise ValueError(f"{theta} is not a code of GF({self.q})")
         if theta == 0:
             return 1
-        k = self.log_view[theta]
-        n_over = self.e // r
-        for m in range(1, n_over + 1):
-            if n_over % m == 0 and (k * pow(self.p, r * m, self.qm1)) % self.qm1 == k:
-                return m
-        raise RuntimeError("Frobenius orbit did not close")  # unreachable
+        k, n = self.log.item(theta), self.e // r
+        return next(m for m in range(1, n + 1)
+                    if n % m == 0 and k % self.subfield_step(r * m) == 0)
 
     def full_degree_elements(self, r: int) -> np.ndarray:
         """Nonzero codes theta, ascending, with F_{p^r}(theta) the whole field; requires r | e.
@@ -739,8 +734,7 @@ class FieldTable:
         of none of those subfields' steps.  degree_over_base(theta, r) == n
         is the same test, one code at a time.
         """
-        if r < 1 or self.e % r != 0:
-            raise NotADivisor(f"r={r} does not divide e={self.e}")
+        self.subfield_step(r)
         n = self.e // r
         units = self.log[1:]  # the logs of the codes 1 .. q-1
         valid = np.ones(self.qm1, dtype=bool)

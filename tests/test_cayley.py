@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -361,6 +362,17 @@ def test_paley_subfield_clique_iff_divisibility(p, e):
             assert graph.subfield_is_clique(r) == predicted, (d, r)
 
 
+@pytest.mark.parametrize("r", [2.0, 2.5, np.float64(1.0)])
+def test_subfield_is_clique_refuses_non_integral_r(gpstar81_4, r):
+    with pytest.raises(TypeError, match=rf"^r={re.escape(repr(r))} is not an integer$"):
+        gpstar81_4.subfield_is_clique(r)
+
+
+def test_subfield_is_clique_takes_numpy_integers(gpstar81_4):
+    assert [gpstar81_4.subfield_is_clique(np.int64(r)) for r in (1, 2, 4)] == \
+        [gpstar81_4.subfield_is_clique(r) for r in (1, 2, 4)]
+
+
 def test_maximal_subfield_clique_layers():
     table = build_field(3, 4)
     graph = make_graph(table, GraphKind.paley(10))
@@ -455,7 +467,7 @@ def test_common_neighbors_of_subfields_match_a_whole_field_scan():
 
 
 def _with_log(table, log):
-    """A table with the same exp and a replaced log: tables cannot be rebound."""
+    """A table with the same exp and a replaced log."""
     return FieldTable(table.params, table.g, table.exp, log)
 
 
@@ -731,7 +743,7 @@ def _with_zech(table, moves: dict[int, int]):
         zech[-log[x] % table.qm1] = (log[y] - log[x]) % table.qm1 if y else -1
     corrupt = FieldTable(table.params, table.g, table.exp, log)
     zech.setflags(write=False)
-    corrupt.zech_view = memoryview(zech)  # shadows the cached property
+    corrupt.zech = zech  # shadows the cached property
     return corrupt
 
 
@@ -806,7 +818,7 @@ def test_orbit_invariance_check_survives_optimize():
         "zech[-good.log[12] % 80] = (good.log[3] - good.log[12]) % 80\n"
         "zech.setflags(write=False)\n"
         "table = FieldTable(good.params, good.g, good.exp, good.log)\n"
-        "table.zech_view = memoryview(zech)\n"
+        "table.zech = zech\n"
         "logs = good.log[[9, 10, 11, 12, 13, 14, 18, 19, 20, 24, 25, 26]].astype(np.int64)\n"
         "try:\n"
         "    make_graph(table, GraphKind.peisert(4))._pool_orbits([0, 1, 2], logs)\n"

@@ -92,7 +92,7 @@ def test_line_sum_matches_cmath_oracle(gf81):
     for theta in (3, 9, 30, 77):
         got = line_sum(chi, theta, base)
         expected = sum(_chi_value(chi, oracle.add(theta, a)) for a in base)
-        assert sum(got.counts) == len(base)
+        assert sum(got.counts) == len(base) and {type(c) for c in got.counts} == {int}
         assert abs(got.value() - expected) < 1e-9
 
 
@@ -101,6 +101,15 @@ def test_line_sum_rejects_zero_term(gf81):
     base = gf81.subfield_elements(1)
     with pytest.raises(ZeroEncountered):
         line_sum(chi, FieldOracle.of(gf81).neg(1), base)
+
+
+@pytest.mark.parametrize("bad", [-1, 81, 86])
+def test_line_sum_refuses_codes_outside_the_field(gf81, bad):
+    chi = Character(gf81, 5)
+    base = gf81.subfield_elements(1)
+    for theta, elements in [(bad, base), (3, [0, bad])]:
+        with pytest.raises(ValueError, match=rf"^{bad} is not a code of GF\(81\)$"):
+            line_sum(chi, theta, elements)
 
 
 @pytest.mark.parametrize("p,e", [(3, 4), (7, 3), (3, 6)])
@@ -268,7 +277,7 @@ def test_orbit_image_zero_is_an_invariant_error(gf81):
     zech[gf81.log[theta]] = -1  # theta + 1 = 1 (1 + theta) = 0
     zech.setflags(write=False)
     table = _with_log(gf81, gf81.log)
-    table.zech_view = memoryview(zech)  # shadows the cached property
+    table.zech = zech  # shadows the cached property
     with pytest.raises(InvariantError, match=rf"x -> 1 x \+ 1 .* sends theta={theta} to 0, no valid theta"):
         katz_bound_check(table, 1, 2)
 

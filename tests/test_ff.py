@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -664,7 +665,7 @@ def test_the_certificate_sees_every_entry(monkeypatch, p, e, keep_exp):
     monkeypatch.setattr(ff, "_exp_blocks", counted)
     table = build_field(p, e, keep_exp=keep_exp)
     assert sum(sizes) == table.q - 1
-    assert ("exp_view" in vars(table)) == keep_exp
+    assert ("exp" in vars(table)) == keep_exp
     if e == 1:
         assert len(sizes) == -(-(table.q - 1) // ff._CHUNK) == 16
 
@@ -690,11 +691,11 @@ def test_build_field_and_the_table_free_commands_build_no_log(monkeypatch, capsy
     capsys.readouterr()
     assert len(tables) == 3
     for table in tables:
-        assert "log_view" not in vars(table)
-        assert "zech_view" not in vars(table)
+        assert "log" not in vars(table)
+        assert "zech" not in vars(table)
     # field and graph-info certify exp as a stream and keep none of it; a
     # later read builds it through the same certificate, with the same bytes
-    assert ["exp_view" in vars(table) for table in tables] == [True, False, False]
+    assert ["exp" in vars(table) for table in tables] == [True, False, False]
     exp = tables[1].exp
     assert not exp.flags.writeable and tables[1].exp is exp
     assert hashlib.sha256(exp.astype("<i4").tobytes()).hexdigest() == TABLE_DIGESTS[4093, 2][0]
@@ -767,9 +768,21 @@ def test_add_matches_digitwise_oracle(p, e):
     for b in range(table.q):
         sums = [_code([(x + y) % p for x, y in zip(digits[a], digits[b])], p) for a in codes]
         diffs = [_code([(x - y) % p for x, y in zip(digits[a], digits[b])], p) for a in codes]
-        assert [table.add(int(a), b) for a in codes] == sums
+        got = [table.add(int(a), b) for a in codes]
+        assert got == sums and {type(x) for x in got} == {int}
         minus_b = int(table.exp[(table.log[b] + table.qm1 // 2) % table.qm1]) if b else 0
         assert [table.add(int(a), minus_b) for a in codes] == diffs
+
+
+@pytest.mark.parametrize("bad", [-1, 81, 86])
+def test_scalar_calls_refuse_codes_outside_the_field(gf81, bad):
+    # -1 would wrap to the last table entry; 81 and 86 lie past every table.
+    message = f"^{bad} is not a code of GF\\(81\\)$"
+    for a, b in [(bad, 1), (1, bad), (bad, 0), (0, bad)]:
+        with pytest.raises(ValueError, match=message):
+            gf81.add(a, b)
+    with pytest.raises(ValueError, match=message):
+        gf81.degree_over_base(bad, 1)
 
 
 def test_frozen_small_products(gf13, gf9):
@@ -863,7 +876,9 @@ def test_frozen_subfield_codes(gf81):
 def test_degree_over_base_partitions(gf81):
     by_degree = {}
     for x in range(gf81.q):
-        by_degree.setdefault(gf81.degree_over_base(x, 1), []).append(x)
+        m = gf81.degree_over_base(x, 1)
+        assert type(m) is int
+        by_degree.setdefault(m, []).append(x)
     # 0 counts as degree 1; degree-2 elements are F_9 minus F_3
     assert sorted(by_degree) == [1, 2, 4]
     assert len(by_degree[1]) == 3
@@ -919,6 +934,24 @@ def test_numpy_integers_are_accepted_and_non_integers_refused():
         build_field(3, 4.0)
 
 
+@pytest.mark.parametrize("r", [2.0, 2.5, np.float64(1.0)])
+def test_subfield_queries_refuse_non_integral_r(gf81, r):
+    calls = [gf81.subfield_step, gf81.subfield_elements, gf81.full_degree_elements,
+             lambda r: gf81.degree_over_base(5, r)]
+    for call in calls:
+        with pytest.raises(TypeError, match=rf"^r={re.escape(repr(r))} is not an integer$"):
+            call(r)
+
+
+def test_subfield_queries_take_numpy_integers(gf81):
+    r = np.int64(2)
+    assert gf81.subfield_step(r) == gf81.subfield_step(2) == 10
+    assert type(gf81.subfield_step(r)) is int
+    assert gf81.subfield_elements(r) == gf81.subfield_elements(2)
+    assert gf81.full_degree_elements(r).tolist() == gf81.full_degree_elements(2).tolist()
+    assert [gf81.degree_over_base(x, r) for x in range(81)] == [gf81.degree_over_base(x, 2) for x in range(81)]
+
+
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         build_field(3, 16)
@@ -945,9 +978,12 @@ def test_tables_are_int32(gf81):
     assert {t.dtype for t in (gf81.exp, gf81.log, gf81.zech)} == {np.dtype(np.int32)}
 
 
-def test_tables_are_read_only(gf13):
-    with pytest.raises(ValueError):
-        gf13.exp[0] = 5
+def test_tables_are_read_only():
+    for p, e in VIEW_FIELDS:
+        table = build_field(p, e)
+        for name in ("exp", "log", "zech"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 5
 
 
 # ---------------------------------------------------------------------------
@@ -973,21 +1009,6 @@ def test_neg_inv_pow_match_numpy_log_arithmetic_on_every_element(p, e):
     while len(columns) < len(ks):
         columns.append(oracle.mul_many(columns[-1], units))
     assert table.exp[logs[:, None] * ks % qm1].tolist() == np.stack(columns, axis=1).tolist()
-
-
-@pytest.mark.parametrize("p,e", VIEW_FIELDS)
-def test_scalar_views_are_read_only_and_share_the_tables_memory(p, e):
-    table = build_field(p, e)
-    table.add(1, 1)  # builds zech
-    for name in ("exp", "log", "zech"):
-        view, arr = getattr(table, f"{name}_view"), getattr(table, name)
-        assert view.readonly and view.obj is arr
-        assert np.shares_memory(np.asarray(view), arr)
-        with pytest.raises(TypeError):
-            view[0] = 1
-        # A rebound table would leave its view stale, so rebinding is refused.
-        with pytest.raises(AttributeError):
-            setattr(table, name, arr.copy())
 
 
 def test_to_json_round_trip(gf81):
