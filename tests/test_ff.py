@@ -993,6 +993,24 @@ VIEW_FIELDS = [(13, 1), (7, 2), (3, 4), (5, 3)]
 
 
 @pytest.mark.parametrize("p,e", VIEW_FIELDS)
+def test_scalar_views_are_read_only_and_share_the_tables_memory(p, e):
+    # The scalar reads in add are ndarray.item on the tables themselves: the
+    # table keeps each of exp, log and zech once, with no mirror beside it.
+    table = build_field(p, e)
+    assert table.add(1, 1) == FieldOracle.of(table).add(1, 1)  # builds zech
+    arrays = {name: v for name, v in vars(table).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["exp", "log", "zech"]
+    for name, arr in arrays.items():
+        assert getattr(table, name) is arr
+        assert not arr.flags.writeable
+        assert type(arr.item(1)) is int
+        for other_name, other in arrays.items():
+            assert np.shares_memory(arr, other) == (other_name == name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("p,e", VIEW_FIELDS)
 def test_neg_inv_pow_match_numpy_log_arithmetic_on_every_element(p, e):
     # -x, 1/x and x^k by numpy log arithmetic on the tables, for every unit
     # x and -2 <= k <= q, against digitwise negation and repeated products.
